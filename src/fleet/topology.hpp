@@ -1,38 +1,18 @@
 // Fleet topology & policy, parsed from the `[fleet]` section of an
-// .esp_config file:
-//
-//   [fleet]
-//   shards = 2
-//   quantum_cycles = 4000
-//   coalesce_limit = 4
-//   # class_<name> = weight, tokens_per_quantum, burst, queue_bound,
-//   #                deadline_quanta
-//   class_realtime   = 8, 4.0, 8, 32, 600
-//   class_standard   = 4, 2.0, 16, 64, 2000
-//   class_besteffort = 1, 1.0, 32, 128, 8000
-//   tenant_tokens_per_quantum = 0.5   # 0 (default) disables
-//   tenant_burst = 8
-//   breaker_failure_threshold = 0.5
-//   breaker_window = 8
-//   breaker_open_base_cycles = 200000
-//   breaker_open_max_cycles = 3200000
-//   breaker_half_open_probes = 2
-//   repack = 1                        # 0 (default) disables
-//   repack_interval_cycles = 2000000
-//   repack_frag_threshold = 0.05
-//   repack_max_migrations = 4
-//   repack_migration_budget = 2
-//
-// from_config() is deliberately lenient (defaults for every key) — the
-// presp-lint `fleet.*` rule pack is where misconfigurations are reported
-// with file/line diagnostics; FleetManager re-validates the invariants it
-// cannot run without and throws ConfigError.
+// .esp_config file (examples/configs/fleet_small.esp_config has one). QoS
+// classes are rows `class_<name> = weight, tokens_per_quantum, burst,
+// queue_bound, deadline_quanta`; every other key sets one field below.
+// topology_schema() is the section's single source of keys, bounds and
+// (through the member initializers) defaults: from_config(), validate()
+// (which FleetManager runs) and the presp-lint `fleet.*` rules come from it.
 #pragma once
 
+#include <optional>
 #include <string>
 
 #include "fleet/breaker.hpp"
 #include "fleet/types.hpp"
+#include "lint/schema.hpp"
 #include "util/config.hpp"
 
 namespace presp::fleet {
@@ -61,8 +41,7 @@ struct FleetTopology {
   double tenant_burst = 8.0;
   /// Online defragmentation: when true every shard runs a background
   /// runtime::Repacker over a dynamic floorplan of its fabric
-  /// (`repack = 1` in the config; presp-lint runtime.repacker-bounds
-  /// checks the knobs below).
+  /// (`repack = 1` in the config; the knobs below are checked only then).
   bool repack = false;
   /// Cycles between repack passes on each shard. Must stay positive.
   long long repack_interval_cycles = 2'000'000;
@@ -81,13 +60,19 @@ struct FleetTopology {
   BreakerOptions breaker;
 
   /// Reads the `[fleet]` section (missing keys keep defaults; a missing
-  /// section returns the default topology).
+  /// section returns the default topology). Throws ConfigError on an
+  /// unknown key or a malformed value.
   static FleetTopology from_config(const Config& config);
 
-  /// Throws presp::InvalidArgument on values the manager cannot run with
-  /// (shards < 1, non-positive quantum/queue bounds, zero class weight
-  /// sum, breaker thresholds outside (0,1], window outside [1,64]).
+  /// Throws presp::InvalidArgument on the first failing error row of
+  /// topology_schema(): values the manager cannot run with.
   void validate() const;
 };
+
+/// The `[fleet]` key schema. `retry_budget` (the foreground retry budget
+/// the shards' managers run with) adds the lint-only warning that the
+/// repack migration budget must not exceed it.
+schema::Table<FleetTopology> topology_schema(
+    std::optional<int> retry_budget = std::nullopt);
 
 }  // namespace presp::fleet

@@ -1,13 +1,12 @@
 #include "lint/context.hpp"
 
+#include <bit>
 #include <fstream>
 #include <sstream>
 
 #include "hls/library.hpp"
 #include "hls/spec_io.hpp"
 #include "noc/noc.hpp"
-#include "runtime/manager.hpp"
-#include "runtime/repacker.hpp"
 #include "util/string_utils.hpp"
 #include "wami/accelerators.hpp"
 
@@ -186,27 +185,67 @@ const RouteTable& LintContext::routes() {
   return *routes_;
 }
 
+const schema::Table<ReconfPlan>& runtime_schema() {
+  using T = ReconfPlan;
+  using schema::field;
+  static const schema::Table<T> table = [] {
+    const std::string retry = "runtime.retry-budget";
+    schema::Table<T> t("runtime", "config.parse", "thread");
+    t.row("retry_budget", field(&T::retry_budget))
+        .warning(retry, [](const T& v) { return v.retry_budget >= 1; },
+                 "quarantines a tile on its first hang (no recovery)",
+                 "set retry_budget to at least 1");
+    t.row("max_attempts", field(&T::max_attempts))
+        .warning(retry, [](const T& v) { return v.max_attempts >= 1; },
+                 "prevents any reconfiguration attempt",
+                 "set max_attempts to at least 1");
+    t.row("backoff_base_cycles", field(&T::backoff_base_cycles))
+        .warning(retry, [](const T& v) { return v.backoff_base_cycles > 0; },
+                 "disables exponential backoff (hot retry loop)",
+                 "use a positive backoff base")
+        .warning(retry,
+                 [](const T& v) {
+                   const auto base = std::bit_width(
+                       static_cast<unsigned long long>(v.backoff_base_cycles));
+                   return v.backoff_base_cycles <= 0 || v.retry_budget <= 1 ||
+                          base + v.retry_budget <= 63;
+                 },
+                 "<< (retry_budget - 1) overflows into a negative backoff",
+                 "keep the shifted backoff below 2^62 cycles");
+    t.row("watchdog_reconf_margin", field(&T::watchdog_reconf_margin))
+        .warning(retry,
+                 [](const T& v) { return v.watchdog_reconf_margin >= 1; },
+                 "fires the watchdog on healthy ICAP transfers",
+                 "use a margin of at least 1.0");
+    t.row("store_cache_slots", field(&T::store_cache_slots));
+    t.row("store_slot_bytes", field(&T::store_slot_bytes));
+    runtime::mount_repacker_rows(
+        t, &T::repack_interval_cycles, &T::repack_frag_threshold,
+        &T::repack_max_migrations, &T::repack_migration_budget,
+        [](const T& v) { return v.repack_declared; },
+        [](const T& v) { return v.retry_budget; });
+    return t;
+  }();
+  return table;
+}
+
 ReconfPlan LintContext::parse_plan() {
   const Config& cfg = raw();
   const netlist::SocConfig& config = soc();
 
   ReconfPlan plan;
-  const runtime::ManagerOptions defaults;
-  plan.retry_budget = defaults.retry_budget;
-  plan.max_attempts = defaults.max_attempts;
-  plan.backoff_base_cycles = defaults.backoff_base_cycles;
-  plan.watchdog_reconf_margin = defaults.watchdog_reconf_margin;
-  const runtime::RepackerOptions repack_defaults;
-  plan.repack_interval_cycles = repack_defaults.interval_cycles;
-  plan.repack_frag_threshold = repack_defaults.frag_threshold;
-  plan.repack_max_migrations = repack_defaults.max_migrations_per_pass;
-  plan.repack_migration_budget = repack_defaults.migration_budget;
-
   const auto keys = cfg.keys("runtime");
   if (keys.empty()) return plan;
   plan.declared = true;
+  // Unknown keys are config.unknown-key's finding, not a parse failure.
+  try {
+    runtime_schema().read(cfg, plan, /*allow_unknown=*/true);
+  } catch (const ConfigError& e) {
+    throw ArtifactError("config.parse", e.what());
+  }
 
   for (const std::string& key : keys) {
+    plan.repack_declared |= starts_with(key, "repack_");
     const std::string& value = cfg.get("runtime", key);
     try {
       if (starts_with(key, "thread")) {
@@ -244,32 +283,6 @@ ReconfPlan LintContext::parse_plan() {
             thread.chains.push_back(std::move(chain));
         }
         plan.threads.push_back(std::move(thread));
-      } else if (key == "retry_budget") {
-        plan.retry_budget = static_cast<int>(parse_int(value));
-      } else if (key == "max_attempts") {
-        plan.max_attempts = static_cast<int>(parse_int(value));
-      } else if (key == "backoff_base_cycles") {
-        plan.backoff_base_cycles = parse_int(value);
-      } else if (key == "watchdog_reconf_margin") {
-        plan.watchdog_reconf_margin = parse_double(value);
-      } else if (key == "store_cache_slots") {
-        plan.store_cache_slots = static_cast<int>(parse_int(value));
-      } else if (key == "store_slot_bytes") {
-        plan.store_slot_bytes = parse_int(value);
-      } else if (key == "repack_interval_cycles") {
-        plan.repack_interval_cycles = parse_int(value);
-        plan.repack_declared = true;
-      } else if (key == "repack_frag_threshold") {
-        plan.repack_frag_threshold = parse_double(value);
-        plan.repack_declared = true;
-      } else if (key == "repack_max_migrations") {
-        plan.repack_max_migrations = static_cast<int>(parse_int(value));
-        plan.repack_declared = true;
-      } else if (key == "repack_migration_budget") {
-        plan.repack_migration_budget = static_cast<int>(parse_int(value));
-        plan.repack_declared = true;
-      } else {
-        throw ConfigError("unknown [runtime] key '" + key + "'");
       }
     } catch (const ConfigError& e) {
       throw ArtifactError("config.parse",

@@ -21,13 +21,7 @@
 //   # independent requests, '+' chains requests whose tile locks are
 //   # held simultaneously (nested acquisition).
 //   thread_main = r1c0:conv2d, r1c1:gemm + r1c0:fft
-//   retry_budget = 3
-//   max_attempts = 3
-//   backoff_base_cycles = 10000
-//   watchdog_reconf_margin = 8.0
-//   # defragmentation repacker knobs (runtime.repacker-bounds)
-//   repack_interval_cycles = 2000000
-//   repack_migration_budget = 2
+//   # scalar knobs (retry_budget, store_*, repack_*): runtime_schema()
 //
 //   [bitstreams]
 //   # explicit BitstreamStore manifest; defaults to every reconfigurable
@@ -48,9 +42,12 @@
 
 #include "fabric/device.hpp"
 #include "floorplan/floorplanner.hpp"
+#include "lint/schema.hpp"
 #include "netlist/components.hpp"
 #include "netlist/rtl.hpp"
 #include "netlist/soc_config.hpp"
+#include "runtime/bitstream_store.hpp"
+#include "runtime/repacker.hpp"
 #include "synth/synthesis.hpp"
 #include "util/config.hpp"
 #include "util/error.hpp"
@@ -90,30 +87,37 @@ struct PlanThread {
 };
 
 /// Static model of the runtime manager's workload: per-thread request
-/// sequences plus the retry/backoff tuning knobs (defaulted from
-/// runtime::ManagerOptions when the [runtime] section omits them).
+/// sequences plus the scalar [runtime] knobs, read through
+/// runtime_schema(). Each knob defaults to the runtime struct it models.
 struct ReconfPlan {
   std::vector<PlanThread> threads;
-  int retry_budget = 0;
-  int max_attempts = 0;
-  long long backoff_base_cycles = 0;
-  double watchdog_reconf_margin = 0.0;
+  int retry_budget = runtime::ManagerOptions{}.retry_budget;
+  int max_attempts = runtime::ManagerOptions{}.max_attempts;
+  long long backoff_base_cycles = runtime::ManagerOptions{}.backoff_base_cycles;
+  double watchdog_reconf_margin =
+      runtime::ManagerOptions{}.watchdog_reconf_margin;
   /// Bitstream-store residency: 0 = eager (every image DRAM-resident),
   /// > 0 = LRU cache with that many slots (runtime::StoreOptions).
-  int store_cache_slots = 0;
+  int store_cache_slots = runtime::StoreOptions{}.cache_slots;
   /// Bytes per cache slot; 0 = sized to the largest registered image.
-  long long store_slot_bytes = 0;
-  /// Defragmentation repacker knobs (repack_* keys in [runtime];
-  /// defaulted from runtime::RepackerOptions). repack_declared is set
-  /// when any repack_* key appears.
+  long long store_slot_bytes =
+      static_cast<long long>(runtime::StoreOptions{}.slot_bytes);
+  /// Defragmentation repacker knobs (runtime::RepackerOptions);
+  /// repack_declared is set when any repack_* key appears, and gates
+  /// their rows.
   bool repack_declared = false;
-  long long repack_interval_cycles = 0;
-  double repack_frag_threshold = 0.0;
-  int repack_max_migrations = 0;
-  int repack_migration_budget = 0;
+  long long repack_interval_cycles = runtime::RepackerOptions{}.interval_cycles;
+  double repack_frag_threshold = runtime::RepackerOptions{}.frag_threshold;
+  int repack_max_migrations =
+      runtime::RepackerOptions{}.max_migrations_per_pass;
+  int repack_migration_budget = runtime::RepackerOptions{}.migration_budget;
   /// True when the config carries a [runtime] section at all.
   bool declared = false;
 };
+
+/// The scalar [runtime] key schema (thread* keys are structured and
+/// parsed by LintContext::plan()).
+const schema::Table<ReconfPlan>& runtime_schema();
 
 // ------------------------------------------------------ exec artifact
 

@@ -3,7 +3,6 @@
 #include <unistd.h>
 
 #include <algorithm>
-#include <bit>
 #include <cstdlib>
 #include <filesystem>
 #include <map>
@@ -14,6 +13,7 @@
 #include "bitstream/relocate.hpp"
 #include "fleet/topology.hpp"
 #include "lint/cycle.hpp"
+#include "ops/options.hpp"
 #include "util/string_utils.hpp"
 
 namespace presp::lint {
@@ -644,47 +644,6 @@ void check_lock_order(LintContext& ctx, DiagnosticEngine& engine) {
               "ascending tile index) in every thread"});
 }
 
-void check_retry_budget(LintContext& ctx, DiagnosticEngine& engine) {
-  const auto& plan = ctx.plan();
-  if (!plan.declared) return;
-  const int line = ctx.line_of_section("runtime");
-  const SourceLoc loc{ctx.file(), line, "runtime"};
-  if (plan.retry_budget < 1)
-    engine.add({"runtime.retry-budget", Severity::kWarning, loc,
-                "retry_budget " + std::to_string(plan.retry_budget) +
-                    " disables watchdog recovery: the first hang "
-                    "quarantines the tile",
-                "set retry_budget to at least 1"});
-  if (plan.max_attempts < 1)
-    engine.add({"runtime.retry-budget", Severity::kWarning, loc,
-                "max_attempts " + std::to_string(plan.max_attempts) +
-                    " prevents any reconfiguration attempt",
-                "set max_attempts to at least 1"});
-  if (plan.backoff_base_cycles <= 0)
-    engine.add({"runtime.retry-budget", Severity::kWarning, loc,
-                "backoff_base_cycles " +
-                    std::to_string(plan.backoff_base_cycles) +
-                    " disables exponential backoff (hot retry loop)",
-                "use a positive backoff base (default 10000 cycles)"});
-  else if (plan.retry_budget > 1) {
-    const int base_bits = std::bit_width(
-        static_cast<unsigned long long>(plan.backoff_base_cycles));
-    if (base_bits + plan.retry_budget - 1 > 62)
-      engine.add({"runtime.retry-budget", Severity::kWarning, loc,
-                  "backoff_base_cycles << (retry_budget - 1) overflows: "
-                  "the last retry's backoff wraps negative",
-                  "lower retry_budget or backoff_base_cycles so the "
-                  "shifted backoff stays below 2^62 cycles"});
-  }
-  if (plan.watchdog_reconf_margin < 1.0)
-    engine.add({"runtime.retry-budget", Severity::kWarning, loc,
-                "watchdog_reconf_margin " +
-                    std::to_string(plan.watchdog_reconf_margin) +
-                    " arms the watchdog below the nominal ICAP streaming "
-                    "time: healthy reconfigurations will fire it",
-                "use a margin of at least 1.0 (default 8.0)"});
-}
-
 void check_store_capacity(LintContext& ctx, DiagnosticEngine& engine) {
   const auto& plan = ctx.plan();
   if (!plan.declared || plan.store_cache_slots == 0) return;
@@ -740,391 +699,31 @@ void check_store_capacity(LintContext& ctx, DiagnosticEngine& engine) {
                     "registered image"});
 }
 
-// -------------------------------------------------------- fleet rules
-// The [fleet] section is parsed leniently by FleetTopology::from_config
-// (FleetManager re-validates and throws); these rules are where
-// misconfigurations get file/line diagnostics before anything runs.
+// ------------------------------------------------------- schema rules
+// [ops], [fleet] and the scalar [runtime] knobs are linted from their
+// schema tables (lint/schema.hpp): config.unknown-key, malformed values and
+// every failing row under the row's own rule id (fleet.*, ops.*,
+// runtime.retry-budget, runtime.repacker-bounds), at the key's line.
 
-/// Parses the [fleet] section, reporting a malformed section under
-/// `fleet.topology`. Returns nullopt when the section is absent (every
-/// fleet rule is then a no-op) or unparseable.
-std::optional<fleet::FleetTopology> fleet_topology(LintContext& ctx,
-                                                   DiagnosticEngine& engine) {
-  const int line = ctx.line_of_section("fleet");
-  if (line == 0) return std::nullopt;
-  try {
-    return fleet::FleetTopology::from_config(ctx.raw());
-  } catch (const ConfigError& e) {
-    engine.add({"fleet.topology",
-                Severity::kError,
-                {ctx.file(), line, "fleet"},
-                std::string("malformed [fleet] section: ") + e.what(),
-                "QoS class rows are 'weight, tokens_per_quantum, burst, "
-                "queue_bound, deadline_quanta'"});
-    return std::nullopt;
-  }
+template <class T>
+void lint_schema(LintContext& ctx, DiagnosticEngine& engine,
+                 const schema::Table<T>& table, const T* parsed = nullptr) {
+  const std::string& section = table.section();
+  table.lint(
+      ctx.raw(),
+      [&](const std::string& key) {
+        int line = ctx.line_of(section, key);
+        if (line == 0) line = ctx.line_of_section(section);
+        return SourceLoc{ctx.file(), line, section};
+      },
+      engine, parsed);
 }
 
-SourceLoc fleet_loc(LintContext& ctx, const std::string& key) {
-  int line = ctx.line_of("fleet", key);
-  if (line == 0) line = ctx.line_of_section("fleet");
-  return {ctx.file(), line, "fleet"};
-}
-
-void check_fleet_topology(LintContext& ctx, DiagnosticEngine& engine) {
-  const auto topo = fleet_topology(ctx, engine);
-  if (!topo) return;
-  if (topo->shards < 1)
-    engine.add({"fleet.topology", Severity::kError, fleet_loc(ctx, "shards"),
-                "shards " + std::to_string(topo->shards) +
-                    " leaves the fleet without a single SoC instance",
-                "use at least one shard"});
-  if (topo->quantum_cycles <= 0)
-    engine.add({"fleet.topology", Severity::kError,
-                fleet_loc(ctx, "quantum_cycles"),
-                "quantum_cycles " + std::to_string(topo->quantum_cycles) +
-                    " stalls the fleet clock",
-                "use a positive scheduling quantum (default 4000 cycles)"});
-  if (topo->coalesce_limit < 0)
-    engine.add({"fleet.topology", Severity::kError,
-                fleet_loc(ctx, "coalesce_limit"),
-                "coalesce_limit " + std::to_string(topo->coalesce_limit) +
-                    " is negative",
-                "use 0 to disable coalescing or a positive follower cap"});
-  if (topo->service_estimate_cycles <= 0)
-    engine.add({"fleet.topology", Severity::kError,
-                fleet_loc(ctx, "service_estimate_cycles"),
-                "service_estimate_cycles " +
-                    std::to_string(topo->service_estimate_cycles) +
-                    " disables reject-early deadline shedding",
-                "estimate one reconfiguration's cycles (default 120000)"});
-}
-
-void check_fleet_class_weights(LintContext& ctx, DiagnosticEngine& engine) {
-  const auto topo = fleet_topology(ctx, engine);
-  if (!topo) return;
-  double weight_sum = 0.0;
-  for (int c = 0; c < fleet::kNumQosClasses; ++c) {
-    const fleet::QosClassParams& cls = topo->classes[c];
-    const std::string key = std::string("class_") +
-                            to_string(static_cast<fleet::QosClass>(c));
-    if (cls.weight < 0.0)
-      engine.add({"fleet.class-weights", Severity::kError,
-                  fleet_loc(ctx, key),
-                  key + " weight " + std::to_string(cls.weight) +
-                      " is negative",
-                  "QoS weights are non-negative relative shares"});
-    else if (cls.weight == 0.0)
-      engine.add({"fleet.class-weights", Severity::kWarning,
-                  fleet_loc(ctx, key),
-                  key + " weight 0 starves the class: its queue only "
-                        "drains when every other class is empty",
-                  "give every live class a positive weight"});
-    weight_sum += std::max(cls.weight, 0.0);
-  }
-  if (weight_sum <= 0.0)
-    engine.add({"fleet.class-weights", Severity::kError,
-                fleet_loc(ctx, "class_standard"),
-                "QoS class weights sum to zero: the dispatcher can never "
-                "pick a queue",
-                "give at least one class a positive weight"});
-}
-
-void check_fleet_queue_bounds(LintContext& ctx, DiagnosticEngine& engine) {
-  const auto topo = fleet_topology(ctx, engine);
-  if (!topo) return;
-  for (int c = 0; c < fleet::kNumQosClasses; ++c) {
-    const fleet::QosClassParams& cls = topo->classes[c];
-    const std::string key = std::string("class_") +
-                            to_string(static_cast<fleet::QosClass>(c));
-    const SourceLoc loc = fleet_loc(ctx, key);
-    if (cls.queue_bound <= 0)
-      engine.add({"fleet.queue-bounds", Severity::kError, loc,
-                  key + " queue_bound " + std::to_string(cls.queue_bound) +
-                      " sheds every admission (kQueueFull)",
-                  "bound the queue with a positive depth"});
-    if (cls.deadline_quanta <= 0)
-      engine.add({"fleet.queue-bounds", Severity::kError, loc,
-                  key + " deadline_quanta " +
-                      std::to_string(cls.deadline_quanta) +
-                      " expires requests at submit time",
-                  "use a positive per-class deadline"});
-    if (cls.tokens_per_quantum <= 0.0)
-      engine.add({"fleet.queue-bounds", Severity::kWarning, loc,
-                  key + " tokens_per_quantum " +
-                      std::to_string(cls.tokens_per_quantum) +
-                      " never refills the bucket: the class is "
-                      "permanently throttled",
-                  "use a positive refill rate"});
-    else if (cls.burst < cls.tokens_per_quantum)
-      engine.add({"fleet.queue-bounds", Severity::kWarning, loc,
-                  key + " burst " + std::to_string(cls.burst) +
-                      " is below tokens_per_quantum: refill overflows "
-                      "the bucket every quantum",
-                  "set burst to at least one quantum's refill"});
-  }
-}
-
-void check_fleet_breaker(LintContext& ctx, DiagnosticEngine& engine) {
-  const auto topo = fleet_topology(ctx, engine);
-  if (!topo) return;
-  const fleet::BreakerOptions& breaker = topo->breaker;
-  if (breaker.failure_threshold <= 0.0 || breaker.failure_threshold > 1.0)
-    engine.add({"fleet.breaker", Severity::kError,
-                fleet_loc(ctx, "breaker_failure_threshold"),
-                "breaker_failure_threshold " +
-                    std::to_string(breaker.failure_threshold) +
-                    " is outside (0, 1]",
-                "the threshold is a failure fraction of the window"});
-  if (breaker.window < 1 || breaker.window > 64)
-    engine.add({"fleet.breaker", Severity::kError,
-                fleet_loc(ctx, "breaker_window"),
-                "breaker_window " + std::to_string(breaker.window) +
-                    " is outside [1, 64]",
-                "the outcome window is a 64-bit ring"});
-  if (breaker.open_base_cycles <= 0 ||
-      breaker.open_max_cycles < breaker.open_base_cycles)
-    engine.add({"fleet.breaker", Severity::kError,
-                fleet_loc(ctx, "breaker_open_base_cycles"),
-                "breaker backoff interval [" +
-                    std::to_string(breaker.open_base_cycles) + ", " +
-                    std::to_string(breaker.open_max_cycles) + "] is empty",
-                "use 0 < breaker_open_base_cycles <= "
-                "breaker_open_max_cycles"});
-  if (breaker.half_open_probes < 1)
-    engine.add({"fleet.breaker", Severity::kError,
-                fleet_loc(ctx, "breaker_half_open_probes"),
-                "breaker_half_open_probes " +
-                    std::to_string(breaker.half_open_probes) +
-                    " means an open breaker can never re-close",
-                "allow at least one probe"});
-  if (breaker.open_base_cycles > 0 &&
-      breaker.open_base_cycles < topo->quantum_cycles)
-    engine.add({"fleet.breaker", Severity::kWarning,
-                fleet_loc(ctx, "breaker_open_base_cycles"),
-                "breaker_open_base_cycles " +
-                    std::to_string(breaker.open_base_cycles) +
-                    " is shorter than one scheduling quantum: an open "
-                    "breaker half-opens on the very next dispatch pass",
-                "back off for at least one quantum (" +
-                    std::to_string(topo->quantum_cycles) + " cycles)"});
-}
-
-void check_repacker_bounds(LintContext& ctx, DiagnosticEngine& engine) {
-  const auto& plan = ctx.plan();
-  // [runtime] repack_* knobs (runtime::RepackerOptions).
-  if (plan.declared && plan.repack_declared) {
-    const SourceLoc loc{ctx.file(), ctx.line_of_section("runtime"),
-                        "runtime"};
-    if (plan.repack_interval_cycles <= 0)
-      engine.add({"runtime.repacker-bounds", Severity::kError, loc,
-                  "repack_interval_cycles " +
-                      std::to_string(plan.repack_interval_cycles) +
-                      " makes the repacker spin every cycle, starving the "
-                      "DFXC request path",
-                  "use a positive interval (default 2000000 cycles)"});
-    if (plan.repack_max_migrations < 1)
-      engine.add({"runtime.repacker-bounds", Severity::kError, loc,
-                  "repack_max_migrations " +
-                      std::to_string(plan.repack_max_migrations) +
-                      " means a pass can never migrate anything",
-                  "allow at least one migration per pass"});
-    if (plan.repack_migration_budget < 1)
-      engine.add({"runtime.repacker-bounds", Severity::kError, loc,
-                  "repack_migration_budget " +
-                      std::to_string(plan.repack_migration_budget) +
-                      " aborts every pass before its first migration",
-                  "use a positive migration budget"});
-    else if (plan.repack_migration_budget > plan.retry_budget)
-      engine.add({"runtime.repacker-bounds", Severity::kWarning, loc,
-                  "repack_migration_budget " +
-                      std::to_string(plan.repack_migration_budget) +
-                      " exceeds retry_budget " +
-                      std::to_string(plan.retry_budget) +
-                      ": background compaction out-retries the foreground "
-                      "request path",
-                  "keep the migration budget at or below retry_budget"});
-  }
-  // [fleet] repack knobs (per-shard repackers). Malformed sections are
-  // fleet.topology's diagnostic; stay silent on them here.
-  if (ctx.line_of_section("fleet") == 0) return;
-  std::optional<fleet::FleetTopology> topo;
-  try {
-    topo = fleet::FleetTopology::from_config(ctx.raw());
-  } catch (const ConfigError&) {
-    return;
-  }
-  if (!topo->repack) return;
-  if (topo->repack_interval_cycles <= 0)
-    engine.add({"runtime.repacker-bounds", Severity::kError,
-                fleet_loc(ctx, "repack_interval_cycles"),
-                "repack_interval_cycles " +
-                    std::to_string(topo->repack_interval_cycles) +
-                    " makes every shard's repacker spin, starving its "
-                    "DFXC request path",
-                "use a positive interval (default 2000000 cycles)"});
-  if (topo->repack_frag_threshold < 0.0 ||
-      topo->repack_frag_threshold >= 1.0)
-    engine.add({"runtime.repacker-bounds", Severity::kError,
-                fleet_loc(ctx, "repack_frag_threshold"),
-                "repack_frag_threshold " +
-                    std::to_string(topo->repack_frag_threshold) +
-                    " is outside [0, 1): the fragmentation ratio can "
-                    "never exceed it",
-                "use a threshold in [0, 1) (default 0.05)"});
-  if (topo->repack_max_migrations < 1)
-    engine.add({"runtime.repacker-bounds", Severity::kError,
-                fleet_loc(ctx, "repack_max_migrations"),
-                "repack_max_migrations " +
-                    std::to_string(topo->repack_max_migrations) +
-                    " means a repack pass can never migrate anything",
-                "allow at least one migration per pass"});
-  if (topo->repack_migration_budget < 1)
-    engine.add({"runtime.repacker-bounds", Severity::kError,
-                fleet_loc(ctx, "repack_migration_budget"),
-                "repack_migration_budget " +
-                    std::to_string(topo->repack_migration_budget) +
-                    " aborts every pass before its first migration",
-                "use a positive migration budget"});
-  else if (topo->repack_migration_budget > plan.retry_budget)
-    engine.add({"runtime.repacker-bounds", Severity::kWarning,
-                fleet_loc(ctx, "repack_migration_budget"),
-                "repack_migration_budget " +
-                    std::to_string(topo->repack_migration_budget) +
-                    " exceeds the runtime retry_budget " +
-                    std::to_string(plan.retry_budget) +
-                    ": background compaction out-retries the foreground "
-                    "request path",
-                "keep the migration budget at or below retry_budget"});
-}
-
-// ---------------------------------------------------------- ops rules
-// The [ops] section configures the embedded telemetry server
-// (ops::OpsOptions). The lint layer reads the raw keys directly (the ops
-// library sits above lint in the dependency stack), so defaults here
-// must mirror ops/options.hpp.
-
-SourceLoc ops_loc(LintContext& ctx, const std::string& key) {
-  int line = ctx.line_of("ops", key);
-  if (line == 0) line = ctx.line_of_section("ops");
-  return {ctx.file(), line, "ops"};
-}
-
-void check_ops_port(LintContext& ctx, DiagnosticEngine& engine) {
-  const Config& config = ctx.raw();
-  if (config.keys("ops").empty()) return;
-  const long long port = config.get_int_or("ops", "port", 0);
-  if (port < 0 || port > 65535)
-    engine.add({"ops.port", Severity::kError, ops_loc(ctx, "port"),
-                "ops port " + std::to_string(port) +
-                    " is outside [0, 65535]",
-                "use a TCP port (0 = ephemeral)"});
-  else if (port > 0 && port < 1024)
-    engine.add({"ops.port", Severity::kWarning, ops_loc(ctx, "port"),
-                "ops port " + std::to_string(port) +
-                    " is privileged (< 1024): binding needs root",
-                "use an unprivileged port >= 1024"});
-  const std::string bind = config.get_or("ops", "bind", "127.0.0.1");
-  bool dotted_quad = !bind.empty();
-  int dots = 0;
-  for (const char c : bind) {
-    if (c == '.') ++dots;
-    else if (c < '0' || c > '9') dotted_quad = false;
-  }
-  if (!dotted_quad || dots != 3)
-    engine.add({"ops.port", Severity::kError, ops_loc(ctx, "bind"),
-                "ops bind address '" + bind +
-                    "' is not an IPv4 dotted quad",
-                "use e.g. 127.0.0.1 (loopback) or 0.0.0.0"});
-}
-
-void check_ops_sse_bounds(LintContext& ctx, DiagnosticEngine& engine) {
-  const Config& config = ctx.raw();
-  if (config.keys("ops").empty()) return;
-  const long long buffer =
-      config.get_int_or("ops", "sse_buffer_events", 64);
-  if (buffer < 1)
-    engine.add({"ops.sse-bounds", Severity::kError,
-                ops_loc(ctx, "sse_buffer_events"),
-                "sse_buffer_events " + std::to_string(buffer) +
-                    " leaves SSE clients without a single event slot",
-                "use a positive per-client ring capacity"});
-  else if (buffer > 65536)
-    engine.add({"ops.sse-bounds", Severity::kWarning,
-                ops_loc(ctx, "sse_buffer_events"),
-                "sse_buffer_events " + std::to_string(buffer) +
-                    " buffers unbounded amounts of telemetry per slow "
-                    "client",
-                "keep the ring small; drops are counted, not fatal"});
-  const long long interval =
-      config.get_int_or("ops", "publish_interval_ms", 50);
-  if (interval < 1)
-    engine.add({"ops.sse-bounds", Severity::kError,
-                ops_loc(ctx, "publish_interval_ms"),
-                "publish_interval_ms " + std::to_string(interval) +
-                    " spins the snapshot pump without pause",
-                "use a positive publish interval"});
-  const long long workers = config.get_int_or("ops", "workers", 4);
-  const long long conns =
-      config.get_int_or("ops", "max_connections", 16);
-  if (workers < 1)
-    engine.add({"ops.sse-bounds", Severity::kError, ops_loc(ctx, "workers"),
-                "ops workers " + std::to_string(workers) +
-                    " cannot serve any connection",
-                "use at least one worker"});
-  if (conns < 1)
-    engine.add({"ops.sse-bounds", Severity::kError,
-                ops_loc(ctx, "max_connections"),
-                "max_connections " + std::to_string(conns) +
-                    " rejects every connection with 503",
-                "allow at least one connection"});
-  // An SSE client occupies a worker for its whole subscription, so
-  // connections far beyond the worker count queue behind the pool and
-  // plain GETs starve. The shipped 16:4 default ratio is the accepted
-  // ceiling; warn past it.
-  if (workers >= 1 && conns > 4 * workers)
-    engine.add({"ops.sse-bounds", Severity::kWarning,
-                ops_loc(ctx, "max_connections"),
-                "max_connections " + std::to_string(conns) +
-                    " is more than 4x the " + std::to_string(workers) +
-                    " workers: SSE subscribers can occupy every worker "
-                    "and queue further requests",
-                "size workers to the expected SSE client count"});
-}
-
-void check_ops_disabled_by_default(LintContext& ctx,
-                                   DiagnosticEngine& engine) {
-  const Config& config = ctx.raw();
-  if (config.keys("ops").empty()) return;
-  bool enabled = false;
-  try {
-    enabled = config.get_bool_or("ops", "enabled", false);
-  } catch (const Error& e) {
-    engine.add({"ops.disabled-by-default", Severity::kError,
-                ops_loc(ctx, "enabled"),
-                std::string("malformed [ops] enabled flag: ") + e.what(),
-                "use enabled = true|false"});
-    return;
-  }
-  if (!enabled) {
-    // The section exists but the master switch is off (or missing): the
-    // server never starts, which is easy to misread as "configured".
-    engine.add({"ops.disabled-by-default", Severity::kWarning,
-                ops_loc(ctx, "enabled"),
-                "[ops] section present but enabled is false (the server "
-                "is opt-in and will not start)",
-                "set enabled = true to open the telemetry port"});
-    return;
-  }
-  const std::string bind = config.get_or("ops", "bind", "127.0.0.1");
-  if (bind != "127.0.0.1")
-    engine.add({"ops.disabled-by-default", Severity::kWarning,
-                ops_loc(ctx, "bind"),
-                "ops server enabled on non-loopback bind '" + bind +
-                    "': telemetry (metrics, health, traces) is exposed "
-                    "to the network",
-                "bind to 127.0.0.1 unless the deployment needs remote "
-                "scrapes"});
+void check_config_schema(LintContext& ctx, DiagnosticEngine& engine) {
+  lint_schema(ctx, engine, ops::options_schema());
+  const ReconfPlan& plan = ctx.plan();
+  lint_schema(ctx, engine, fleet::topology_schema(plan.retry_budget));
+  lint_schema(ctx, engine, runtime_schema(), &plan);
 }
 
 // --------------------------------------------------------- exec rules
@@ -1430,6 +1029,12 @@ const RuleRegistry& RuleRegistry::builtin() {
            "the target device names a supported board model",
            Severity::kError},
           force_device);
+    r.add({"config.unknown-key", "config",
+           "every [fleet], [ops] and scalar [runtime] key is in its "
+           "section's schema; the runner also lints each schema row under "
+           "the row's own rule id",
+           Severity::kError},
+          check_config_schema);
     // netlist
     r.add({"netlist.unknown-accelerator", "netlist",
            "every referenced accelerator exists in the fabric library",
@@ -1503,8 +1108,7 @@ const RuleRegistry& RuleRegistry::builtin() {
           check_lock_order);
     r.add({"runtime.retry-budget", "runtime",
            "watchdog retry budget and backoff tuning are sane",
-           Severity::kWarning},
-          check_retry_budget);
+           Severity::kWarning});
     r.add({"runtime.store-capacity", "runtime",
            "the bitstream cache holds the largest partial bitstream and "
            "enough slots for fetch/program overlap",
@@ -1513,45 +1117,37 @@ const RuleRegistry& RuleRegistry::builtin() {
     r.add({"runtime.repacker-bounds", "runtime",
            "defragmentation repacker interval, migration caps and budget "
            "are sane and defer to the foreground retry budget",
-           Severity::kWarning},
-          check_repacker_bounds);
+           Severity::kWarning});
     // fleet
     r.add({"fleet.topology", "fleet",
            "the [fleet] section parses and the shard/quantum/coalesce "
            "parameters can actually run",
-           Severity::kError},
-          check_fleet_topology);
+           Severity::kError});
     r.add({"fleet.class-weights", "fleet",
            "QoS class weights are non-negative and at least one class "
            "can be dispatched",
-           Severity::kError},
-          check_fleet_class_weights);
+           Severity::kError});
     r.add({"fleet.queue-bounds", "fleet",
            "per-class queues are bounded, deadlines are positive and "
            "token buckets can refill",
-           Severity::kError},
-          check_fleet_queue_bounds);
+           Severity::kError});
     r.add({"fleet.breaker", "fleet",
            "circuit-breaker threshold, window, backoff interval and "
            "probe budget are sane",
-           Severity::kError},
-          check_fleet_breaker);
+           Severity::kError});
     // ops
     r.add({"ops.port", "ops",
            "the telemetry server's port is a valid TCP port and the bind "
            "address parses as IPv4",
-           Severity::kError},
-          check_ops_port);
+           Severity::kError});
     r.add({"ops.sse-bounds", "ops",
            "SSE ring capacity, publish interval, worker and connection "
            "caps are positive and sized together",
-           Severity::kError},
-          check_ops_sse_bounds);
+           Severity::kError});
     r.add({"ops.disabled-by-default", "ops",
            "a configured [ops] section actually enables the server, and "
            "an enabled server does not bind off-loopback unnoticed",
-           Severity::kWarning},
-          check_ops_disabled_by_default);
+           Severity::kWarning});
     // exec
     r.add({"exec.undefined-dep", "exec",
            "task-graph dependencies name declared tasks",

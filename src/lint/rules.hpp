@@ -7,7 +7,8 @@
 // catalog-only entries so one registry documents the complete rule set.
 //
 // The built-in catalog spans the stack (see DESIGN.md §10):
-//   config    parse/validate failures, unknown target device
+//   config    parse/validate failures, unknown target device, keys
+//             missing from a section's schema table
 //   netlist   unknown accelerators, duplicate partition members,
 //             dangling nets, interface width mismatches
 //   floorplan pblock overlap, capacity, member footprint, illegal
@@ -23,6 +24,9 @@
 //   exec      task-graph cycles, undefined dependencies, unreachable
 //             tasks
 //   pnr       placement legality (emitted by pnr::verify_placement)
+// The [fleet], [ops] and scalar [runtime] rules are rows of those
+// sections' schema tables (lint/schema.hpp), emitted by the
+// config.unknown-key runner.
 #pragma once
 
 #include <functional>

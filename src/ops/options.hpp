@@ -1,22 +1,13 @@
 // Configuration of the embedded ops server, parsed from the `[ops]`
-// section of an .esp_config file:
-//
-//   [ops]
-//   enabled = true          # default false: no sockets unless asked
-//   bind = 127.0.0.1        # loopback by default
-//   port = 9180             # 0 = pick an ephemeral port
-//   workers = 4             # connection-handler threads
-//   max_connections = 16    # concurrent connections (incl. SSE clients)
-//   sse_buffer_events = 64  # per-client bounded ring (drop-and-count)
-//   publish_interval_ms = 50
-//
-// from_config() is lenient (defaults for every key) — the presp-lint
-// `ops.*` rule pack reports misconfigurations with file/line diagnostics;
-// validate() throws on values the server cannot run with.
+// section of an .esp_config file (examples/configs/fleet_small.esp_config
+// has one). options_schema() is the section's single source of keys,
+// bounds and (through the member initializers) defaults: from_config(),
+// validate() and the presp-lint `ops.*` rules come from it.
 #pragma once
 
 #include <string>
 
+#include "lint/schema.hpp"
 #include "util/config.hpp"
 
 namespace presp::ops {
@@ -41,12 +32,17 @@ struct OpsOptions {
   int publish_interval_ms = 50;
 
   /// Reads the `[ops]` section (missing keys keep defaults; a missing
-  /// section returns the disabled default).
+  /// section returns the disabled default). Throws ConfigError on an
+  /// unknown key or a malformed value.
   static OpsOptions from_config(const Config& config);
 
-  /// Throws presp::InvalidArgument on unusable values (port outside
-  /// [0, 65535], non-positive workers/connections/buffer/interval).
+  /// Throws presp::InvalidArgument on the first failing error row of
+  /// options_schema() (port outside [0, 65535], a bind address inet_pton
+  /// rejects, non-positive workers/connections/buffer/interval).
   void validate() const;
 };
+
+/// The `[ops]` key schema.
+const schema::Table<OpsOptions>& options_schema();
 
 }  // namespace presp::ops

@@ -5,7 +5,6 @@
 #include <vector>
 
 #include "trace/trace.hpp"
-#include "util/error.hpp"
 
 namespace presp::runtime {
 
@@ -21,6 +20,17 @@ std::uint32_t tile_track(int tile) {
   return track;
 }
 
+const schema::Table<RepackerOptions>& repacker_schema() {
+  using T = RepackerOptions;
+  static const schema::Table<T> table = [] {
+    schema::Table<T> t("repacker");
+    mount_repacker_rows(t, &T::interval_cycles, &T::frag_threshold,
+                        &T::max_migrations_per_pass, &T::migration_budget);
+    return t;
+  }();
+  return table;
+}
+
 }  // namespace
 
 Repacker::Repacker(soc::Soc& soc, ReconfigurationManager& manager,
@@ -28,12 +38,7 @@ Repacker::Repacker(soc::Soc& soc, ReconfigurationManager& manager,
     : soc_(soc), manager_(manager), plan_(plan),
       options_(std::move(options)), pass_done_(soc.kernel()),
       migrate_done_(soc.kernel()) {
-  PRESP_REQUIRE(options_.interval_cycles > 0,
-                "repack interval must be positive");
-  PRESP_REQUIRE(options_.max_migrations_per_pass >= 1,
-                "max_migrations_per_pass must be at least 1");
-  PRESP_REQUIRE(options_.migration_budget >= 1,
-                "migration_budget must be at least 1");
+  repacker_schema().validate(options_);
 }
 
 sim::Process Repacker::pass(Completion& done) {

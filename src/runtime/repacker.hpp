@@ -22,19 +22,21 @@
 #pragma once
 
 #include <cstdint>
+#include <functional>
 #include <set>
 #include <string>
+#include <type_traits>
 
 #include "fault/fault.hpp"
 #include "floorplan/dynamic.hpp"
+#include "lint/schema.hpp"
 #include "runtime/manager.hpp"
 
 namespace presp::runtime {
 
 struct RepackerOptions {
-  /// Cycles between repack passes. Must be positive (presp-lint
-  /// runtime.repacker-bounds rejects 0: a zero interval starves the
-  /// request path).
+  /// Cycles between repack passes. Must be positive (a zero interval
+  /// starves the request path). Bounds: mount_repacker_rows().
   long long interval_cycles = 2'000'000;
   /// Fragmentation ratio above which a pass migrates (<= means skip).
   double frag_threshold = 0.05;
@@ -48,6 +50,40 @@ struct RepackerOptions {
   /// Gauge prefix for the published fragmentation metrics.
   std::string metrics_prefix = "floorplan";
 };
+
+/// The four repack_* config rows (runtime.repacker-bounds), declared once
+/// and mounted into each struct that carries the knobs: RepackerOptions
+/// (validated by the Repacker constructor), lint's [runtime] plan and
+/// [fleet]'s FleetTopology. `when` gates the rows; `retry_budget`, when
+/// set, adds the lint-only warning that the repacker must not out-retry
+/// the foreground request path.
+template <class T>
+void mount_repacker_rows(
+    schema::Table<T>& t, long long T::*interval, double T::*threshold,
+    int T::*migrations, int T::*budget,
+    std::type_identity_t<schema::Pred<T>> when = nullptr,
+    std::type_identity_t<std::function<int(const T&)>> retry_budget = {}) {
+  const std::string rule = "runtime.repacker-bounds";
+  t.row("repack_interval_cycles", schema::field(interval), when)
+      .error(rule, [interval](const T& v) { return v.*interval > 0; },
+             "makes the repacker spin, starving the DFXC request path",
+             "use a positive interval");
+  t.row("repack_frag_threshold", schema::field(threshold), when);
+  t.row("repack_max_migrations", schema::field(migrations), when)
+      .error(rule, [migrations](const T& v) { return v.*migrations >= 1; },
+             "means a pass can never migrate anything",
+             "allow at least one migration per pass");
+  auto& row = t.row("repack_migration_budget", schema::field(budget), when)
+      .error(rule, [budget](const T& v) { return v.*budget >= 1; },
+             "aborts every pass before its first migration",
+             "use a positive migration budget");
+  if (retry_budget)
+    row.warning(rule,
+                [=](const T& v) { return v.*budget <= retry_budget(v); },
+                "exceeds the foreground retry_budget: compaction out-retries "
+                "the request path",
+                "keep the migration budget at or below retry_budget");
+}
 
 struct RepackerStats {
   std::uint64_t passes = 0;

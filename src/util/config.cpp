@@ -99,12 +99,7 @@ double Config::get_double(const std::string& section,
 
 bool Config::get_bool_or(const std::string& section, const std::string& key,
                          bool fallback) const {
-  if (!has(section, key)) return fallback;
-  const std::string v = to_lower(get(section, key));
-  if (v == "true" || v == "1" || v == "yes" || v == "on") return true;
-  if (v == "false" || v == "0" || v == "no" || v == "off") return false;
-  throw ConfigError("malformed boolean for [" + section + "] " + key + ": '" +
-                    v + "'");
+  return has(section, key) ? parse_bool(get(section, key)) : fallback;
 }
 
 std::vector<std::string> Config::sections() const { return section_order_; }

@@ -71,4 +71,11 @@ double parse_double(std::string_view text) {
   return value;
 }
 
+bool parse_bool(std::string_view text) {
+  const std::string v = to_lower(trim(text));
+  if (v == "true" || v == "1" || v == "yes" || v == "on") return true;
+  if (v == "false" || v == "0" || v == "no" || v == "off") return false;
+  throw ConfigError("malformed boolean: '" + std::string(trim(text)) + "'");
+}
+
 }  // namespace presp

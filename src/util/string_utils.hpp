@@ -29,4 +29,8 @@ long long parse_int(std::string_view text);
 /// Parses a floating-point number; throws ConfigError on malformed input.
 double parse_double(std::string_view text);
 
+/// Parses true|yes|on|1 / false|no|off|0 (any case); throws ConfigError
+/// on anything else.
+bool parse_bool(std::string_view text);
+
 }  // namespace presp

@@ -1,5 +1,7 @@
 #include <gtest/gtest.h>
 
+#include <ostream>
+
 #include "hls/estimator.hpp"
 #include "hls/library.hpp"
 #include "util/error.hpp"
@@ -68,6 +70,13 @@ struct Table2Case {
   const char* name;
   double paper_luts;
 };
+
+// Without a printer gtest lists the parameter as its raw bytes, and the
+// name pointer makes those differ from run to run under ASLR, so the
+// registered test names would never be stable.
+void PrintTo(const Table2Case& c, std::ostream* os) {
+  *os << c.name << " (" << c.paper_luts << " LUTs)";
+}
 
 class Table2Fixture : public ::testing::TestWithParam<Table2Case> {};
 

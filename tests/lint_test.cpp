@@ -8,13 +8,17 @@
 #include <algorithm>
 #include <filesystem>
 #include <fstream>
+#include <map>
 #include <set>
 #include <sstream>
+#include <tuple>
 
 #include "core/reference_designs.hpp"
+#include "fleet/topology.hpp"
 #include "lint/context.hpp"
 #include "lint/diagnostic.hpp"
 #include "lint/rules.hpp"
+#include "ops/options.hpp"
 #include "wami/accelerators.hpp"
 
 namespace presp {
@@ -713,6 +717,13 @@ TEST(OpsLintTest, BindMustBeDottedQuad) {
       run_lint(with_ops("enabled = true\nbind = localhost\n"));
   ASSERT_TRUE(has_rule(diags, "ops.port"));
   EXPECT_TRUE(has_error(diags));
+
+  // Four dots and digits are not enough: inet_pton (the server's own
+  // parser) rejects an octet above 255.
+  const auto octet =
+      run_lint(with_ops("enabled = true\nbind = 256.1.1.1\n"));
+  ASSERT_TRUE(has_rule(octet, "ops.port"));
+  EXPECT_TRUE(has_error(octet));
 }
 
 TEST(OpsLintTest, SseBoundsMisconfigurations) {
@@ -747,6 +758,157 @@ TEST(OpsLintTest, DisabledSectionAndOffLoopbackBindWarn) {
   const auto malformed = run_lint(with_ops("enabled = maybe\n"));
   ASSERT_TRUE(has_rule(malformed, "ops.disabled-by-default"));
   EXPECT_TRUE(has_error(malformed));
+}
+
+// ------------------------------------------------------ schema tables
+
+/// One config section body that violates exactly one error row.
+struct SchemaCase {
+  std::string section;
+  std::string key;
+  std::string rule;
+  std::string body;
+};
+
+std::vector<SchemaCase> schema_cases() {
+  std::vector<SchemaCase> cases = {
+      {"fleet", "shards", "fleet.topology", "shards = 0\n"},
+      {"fleet", "quantum_cycles", "fleet.topology", "quantum_cycles = 0\n"},
+      {"fleet", "coalesce_limit", "fleet.topology", "coalesce_limit = -1\n"},
+      {"fleet", "service_estimate_cycles", "fleet.topology",
+       "service_estimate_cycles = 0\n"},
+      {"fleet", "tenant_tokens_per_quantum", "fleet.queue-bounds",
+       "tenant_tokens_per_quantum = -0.5\n"},
+      {"fleet", "tenant_burst", "fleet.queue-bounds",
+       "tenant_tokens_per_quantum = 1\ntenant_burst = 0.5\n"},
+      {"fleet", "class_besteffort", "fleet.class-weights",
+       "class_realtime = 0\nclass_standard = 0\nclass_besteffort = 0\n"},
+      {"fleet", "breaker_failure_threshold", "fleet.breaker",
+       "breaker_failure_threshold = 1.5\n"},
+      {"fleet", "breaker_window", "fleet.breaker", "breaker_window = 65\n"},
+      {"fleet", "breaker_open_base_cycles", "fleet.breaker",
+       "breaker_open_base_cycles = 0\n"},
+      {"fleet", "breaker_open_max_cycles", "fleet.breaker",
+       "breaker_open_max_cycles = 1000\n"},
+      {"fleet", "breaker_half_open_probes", "fleet.breaker",
+       "breaker_half_open_probes = 0\n"},
+      {"fleet", "repack_interval_cycles", "runtime.repacker-bounds",
+       "repack = 1\nrepack_interval_cycles = 0\n"},
+      {"fleet", "repack_frag_threshold", "runtime.repacker-bounds",
+       "repack = 1\nrepack_frag_threshold = -0.1\n"},
+      {"fleet", "repack_max_migrations", "runtime.repacker-bounds",
+       "repack = 1\nrepack_max_migrations = 0\n"},
+      {"fleet", "repack_migration_budget", "runtime.repacker-bounds",
+       "repack = 1\nrepack_migration_budget = 0\n"},
+      {"ops", "bind", "ops.port", "bind = 256.1.1.1\n"},
+      {"ops", "port", "ops.port", "port = 70000\n"},
+      {"ops", "workers", "ops.sse-bounds", "workers = 0\n"},
+      {"ops", "max_connections", "ops.sse-bounds", "max_connections = 0\n"},
+      {"ops", "sse_buffer_events", "ops.sse-bounds",
+       "sse_buffer_events = 0\n"},
+      {"ops", "publish_interval_ms", "ops.sse-bounds",
+       "publish_interval_ms = 0\n"},
+  };
+  for (const char* cls : {"class_realtime", "class_standard",
+                          "class_besteffort"}) {
+    const std::string key = cls;
+    cases.push_back({"fleet", key, "fleet.class-weights",
+                     key + " = -1, 2.0, 16, 64, 2000\n"});
+    cases.push_back({"fleet", key, "fleet.queue-bounds",
+                     key + " = 4, 2.0, 16, 0, 2000\n"});
+    cases.push_back({"fleet", key, "fleet.queue-bounds",
+                     key + " = 4, 2.0, 16, 64, 0\n"});
+  }
+  return cases;
+}
+
+using RowId = std::tuple<std::string, std::string, std::string>;
+
+template <class T>
+void count_error_rows(const schema::Table<T>& table,
+                      std::map<RowId, int>& rows) {
+  for (const auto& row : table.rows())
+    for (const auto& check : row.checks)
+      if (check.severity == Severity::kError)
+        ++rows[{table.section(), row.key, check.rule}];
+}
+
+TEST(SchemaTest, EveryErrorRowLintsAsAnErrorAndFailsValidate) {
+  // The cases cover every error row of the [fleet] and [ops] tables.
+  std::map<RowId, int> rows;
+  count_error_rows(fleet::topology_schema(), rows);
+  count_error_rows(ops::options_schema(), rows);
+  std::map<RowId, int> covered;
+  for (const SchemaCase& c : schema_cases())
+    ++covered[{c.section, c.key, c.rule}];
+  EXPECT_EQ(covered, rows);
+
+  for (const SchemaCase& c : schema_cases()) {
+    const std::string text =
+        std::string(kCleanSoc) + "\n[" + c.section + "]\n" + c.body;
+    const int line = LintContext(text).line_of(c.section, c.key);
+    bool reported = false;
+    for (const Diagnostic& d : run_lint(text))
+      reported |= d.rule == c.rule && d.severity == Severity::kError &&
+                  d.loc.line == line;
+    EXPECT_TRUE(reported) << c.body;
+    const Config config = Config::parse(text);
+    if (c.section == "fleet")
+      EXPECT_THROW(fleet::FleetTopology::from_config(config).validate(),
+                   InvalidArgument)
+          << c.body;
+    else
+      EXPECT_THROW(ops::OpsOptions::from_config(config).validate(),
+                   InvalidArgument)
+          << c.body;
+  }
+
+  // The shipped sections, which ShippedDesignsTest lints clean, validate.
+  const Config shipped = Config::parse(
+      LintContext::from_file(std::string(PRESP_SOURCE_DIR) +
+                             "/examples/configs/fleet_small.esp_config")
+          .text());
+  EXPECT_NO_THROW(fleet::FleetTopology::from_config(shipped).validate());
+  EXPECT_NO_THROW(ops::OpsOptions::from_config(shipped).validate());
+}
+
+TEST(SchemaTest, UnknownKeyIsAnErrorWithADidYouMeanHint) {
+  const std::string text = with_fleet("shards = 2\nquantum_cylces = 4000\n");
+  const int line = LintContext(text).line_of("fleet", "quantum_cylces");
+  const auto diags = run_lint(text);
+  ASSERT_TRUE(has_rule(diags, "config.unknown-key"));
+  for (const Diagnostic& d : diags) {
+    if (d.rule != "config.unknown-key") continue;
+    EXPECT_EQ(d.severity, Severity::kError);
+    EXPECT_EQ(d.loc.line, line);
+    EXPECT_NE(d.fix_hint.find("quantum_cycles"), std::string::npos);
+  }
+  EXPECT_THROW(fleet::FleetTopology::from_config(Config::parse(text)),
+               ConfigError);
+  EXPECT_THROW(
+      ops::OpsOptions::from_config(Config::parse("[ops]\nworkerz = 2\n")),
+      ConfigError);
+  EXPECT_TRUE(has_rule(run_lint(with_ops("enabled = true\nworkerz = 2\n")),
+                       "config.unknown-key"));
+
+  // [runtime]: one unknown-key path; structured thread* keys stay legal.
+  const auto runtime = run_lint(
+      with_runtime("thread_a = r1c0:conv2d\nretry_budegt = 3\n"));
+  EXPECT_TRUE(has_rule(runtime, "config.unknown-key"));
+  EXPECT_FALSE(has_rule(runtime, "config.parse"));
+}
+
+TEST(SchemaTest, QosClassRowsParseStrictly) {
+  for (const char* row : {"class_realtime = 8x, 4.0, 8, 32, 600\n",
+                          "class_realtime = 8, 4.0, 8, 32, 600, 7\n"}) {
+    const auto diags = run_lint(with_fleet(row));
+    ASSERT_TRUE(has_rule(diags, "fleet.topology")) << row;
+    EXPECT_TRUE(has_error(diags)) << row;
+    EXPECT_THROW(
+        fleet::FleetTopology::from_config(Config::parse(with_fleet(row))),
+        ConfigError)
+        << row;
+  }
 }
 
 TEST(RuntimeLintTest, RetryBudgetMisconfigurations) {

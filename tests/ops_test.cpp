@@ -94,6 +94,9 @@ TEST(OpsOptionsTest, ValidateRejectsUnusableValues) {
   opts = OpsOptions{};
   opts.bind.clear();
   EXPECT_THROW(opts.validate(), InvalidArgument);
+  opts = OpsOptions{};
+  opts.bind = "256.1.1.1";  // dotted quad, but inet_pton rejects it
+  EXPECT_THROW(opts.validate(), InvalidArgument);
 }
 
 // ------------------------------------------------------------ SSE ring

@@ -5,7 +5,9 @@
 #   build      full plain build + the complete ctest suite
 #   lint       presp-lint must report zero errors on every shipped
 #              examples/configs/*.esp_config (the designs double as the
-#              lint suite's clean fixtures)
+#              lint suite's clean fixtures), and must reject a copy of
+#              fleet_small.esp_config with quantum_cycles misspelt
+#              (non-zero exit, config.unknown-key finding)
 #   trace      trace smoke: presp-flow runs a shipped example with
 #              --trace and the Chrome JSON must summarize through
 #              presp-trace with zero dropped events
@@ -94,7 +96,23 @@ stage_lint() {
     return 1
   }
   lint_summary=$(printf '%s\n' "$lint_out" | tail -n 1)
-  echo "tier-1 lint: $lint_rules rule(s) checked, $lint_summary"
+  # Negative smoke: a misspelt [fleet] key must fail the lint with a
+  # config.unknown-key finding instead of silently keeping the default.
+  TYPO_CFG="$BUILD_DIR/tier1_lint_typo.esp_config"
+  sed 's/^quantum_cycles/quantum_cylces/' \
+      examples/configs/fleet_small.esp_config > "$TYPO_CFG"
+  if typo_out=$("$LINT_BIN" "$TYPO_CFG"); then
+    echo "$typo_out"
+    echo "tier-1: presp-lint accepted a misspelt [fleet] key" >&2
+    return 1
+  fi
+  printf '%s\n' "$typo_out" | grep -q 'config.unknown-key' || {
+    echo "$typo_out"
+    echo "tier-1: the misspelt key was not reported as config.unknown-key" >&2
+    return 1
+  }
+  echo "tier-1 lint: $lint_rules rule(s) checked, $lint_summary;" \
+      "misspelt-key smoke rejected"
 }
 
 stage_trace() {
