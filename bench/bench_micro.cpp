@@ -14,11 +14,12 @@
 // and pipelined + LRU bitstream cache, comparing total simulated cycles
 // and emitting BENCH_store.json (speedup, cache hit rate).
 //
-// `bench_micro --contention [out.json]` measures steal-heavy fine-grained
-// task throughput at 1/2/8 pool threads, lock-free Chase-Lev deques vs
-// the mutex-deque baseline, plus a cold/warm/one-module-modified flow
-// cache comparison on the Table VI SoC_X; both sections also ride along
-// inside BENCH_exec.json when --exec-compare runs.
+// `bench_micro --contention [out.json]` measures fine-grained task
+// throughput of the work-stealing pool at 1/2/8 threads (tasks/s; the
+// 8-thread figure is emitted as tasks_per_s_at_8), plus a cold/warm/
+// one-module-modified flow cache comparison on the Table VI SoC_X; both
+// sections also ride along inside BENCH_exec.json when --exec-compare
+// runs.
 #include <benchmark/benchmark.h>
 
 #include <atomic>
@@ -501,20 +502,15 @@ int run_store_compare(const std::string& out_path) {
 
 // --------------------------------------------------------- --contention
 //
-// Steal-heavy fine-grained throughput: one root task fans every tiny
-// task out of a single worker's deque, so all other workers live on the
-// steal path. Lock-free Chase-Lev deques vs the mutex-deque baseline
-// (Options::mutex_deques) at 1/2/8 threads.
+// Fine-grained throughput: one root task submits every tiny task, so the
+// other threads live on the take/park/wake path. Pool throughput at
+// 1/2/8 threads.
 
 constexpr int kContentionTasks = 100'000;
 constexpr int kContentionRounds = 3;
 
-double contention_round(int threads, bool mutex_deques,
-                        exec::ThreadPool::Stats* stats) {
-  exec::ThreadPool::Options options;
-  options.threads = threads;
-  options.mutex_deques = mutex_deques;
-  exec::ThreadPool pool(options);
+double contention_round(int threads, exec::ThreadPool::Stats* stats) {
+  exec::ThreadPool pool(threads);
   std::atomic<std::uint64_t> sink{0};
   const auto t0 = std::chrono::steady_clock::now();
   pool.submit([&] {
@@ -536,12 +532,11 @@ double contention_round(int threads, bool mutex_deques,
 
 struct ContentionRow {
   int threads = 0;
-  double lockfree_seconds = 0.0;
-  double mutex_seconds = 0.0;
-  std::uint64_t steals = 0;          // lock-free run
-  std::uint64_t steal_failures = 0;  // lock-free run
-  double speedup() const {
-    return lockfree_seconds > 0.0 ? mutex_seconds / lockfree_seconds : 0.0;
+  double seconds = 0.0;
+  std::uint64_t steals = 0;
+  std::uint64_t steal_failures = 0;
+  double tasks_per_s() const {
+    return seconds > 0.0 ? kContentionTasks / seconds : 0.0;
   }
 };
 
@@ -551,32 +546,28 @@ ContentionRow contention_sweep_at(int threads) {
   // Best-of-N to shave scheduler noise; stats come from the best round.
   for (int round = 0; round < kContentionRounds; ++round) {
     exec::ThreadPool::Stats stats;
-    const double lockfree = contention_round(threads, false, &stats);
-    if (round == 0 || lockfree < row.lockfree_seconds) {
-      row.lockfree_seconds = lockfree;
+    const double seconds = contention_round(threads, &stats);
+    if (round == 0 || seconds < row.seconds) {
+      row.seconds = seconds;
       row.steals = stats.stolen;
       row.steal_failures = stats.steal_failures;
     }
-    const double mutex = contention_round(threads, true, &stats);
-    if (round == 0 || mutex < row.mutex_seconds) row.mutex_seconds = mutex;
   }
   return row;
 }
 
 std::vector<ContentionRow> run_contention_sweep() {
   std::vector<ContentionRow> rows;
-  std::printf("contention: %d tasks fanned out of one deque, best of %d "
+  std::printf("contention: %d tasks submitted from one task, best of %d "
               "rounds (hardware threads: %u)\n",
               kContentionTasks, kContentionRounds,
               std::thread::hardware_concurrency());
   for (const int threads : {1, 2, 8}) {
     rows.push_back(contention_sweep_at(threads));
     const ContentionRow& row = rows.back();
-    std::printf("  %d threads: lockfree %8.0f tasks/s  mutex %8.0f "
-                "tasks/s  speedup %5.2fx  steals %llu  failed probes "
+    std::printf("  %d threads: %9.0f tasks/s  steals %llu  failed probes "
                 "%llu\n",
-                row.threads, kContentionTasks / row.lockfree_seconds,
-                kContentionTasks / row.mutex_seconds, row.speedup(),
+                row.threads, row.tasks_per_s(),
                 static_cast<unsigned long long>(row.steals),
                 static_cast<unsigned long long>(row.steal_failures));
   }
@@ -590,15 +581,14 @@ void contention_json(std::ostream& json,
   for (std::size_t i = 0; i < rows.size(); ++i) {
     const ContentionRow& row = rows[i];
     json << "      {\"threads\": " << row.threads
-         << ", \"lockfree_seconds\": " << row.lockfree_seconds
-         << ", \"mutex_seconds\": " << row.mutex_seconds
-         << ", \"speedup\": " << row.speedup()
+         << ", \"seconds\": " << row.seconds
+         << ", \"tasks_per_s\": " << row.tasks_per_s()
          << ", \"steals\": " << row.steals
          << ", \"steal_failures\": " << row.steal_failures << "}"
          << (i + 1 < rows.size() ? "," : "") << "\n";
   }
-  json << "    ],\n    \"lockfree_speedup_at_8\": "
-       << rows.back().speedup() << "\n  }";
+  json << "    ],\n    \"tasks_per_s_at_8\": "
+       << rows.back().tasks_per_s() << "\n  }";
 }
 
 // ------------------------------------------------- warm/cold flow cache

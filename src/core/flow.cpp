@@ -341,8 +341,20 @@ FlowResult PrEspFlow::run(const netlist::SocConfig& config) const {
     std::vector<char> run_ok(jobs.size() + 1, 1);
     std::vector<double> run_fmax(jobs.size() + 1, 1e9);
     const std::size_t kStaticSlot = jobs.size();
-    // Fresh partial bitstreams are retained for cache stores.
+    // Fresh partial bitstreams are retained for cache stores. Their
+    // buffers are reserved here, on the driver thread, and the tasks copy
+    // into them: a buffer a worker allocated would outlive its task in
+    // that worker's malloc arena, and peak RSS would follow the schedule.
     std::vector<bitstream::Bitstream> fresh_pbs(cache ? jobs.size() : 0);
+    const auto words_per_frame =
+        static_cast<std::size_t>(device_.frames().frame_bytes / 4);
+    for (std::size_t j = 0; j < fresh_pbs.size(); ++j)
+      if (!module_hits[j])
+        fresh_pbs[j].words.reserve(
+            static_cast<std::size_t>(fabric::pblock_frames(
+                device_, result.plan.pblocks[static_cast<std::size_t>(
+                             jobs[j].partition_index)])) *
+            words_per_frame);
 
     // Replay cached stage results on the driver thread (fixed job order)
     // before any task runs; the task graph below contains misses only.
@@ -375,19 +387,16 @@ FlowResult PrEspFlow::run(const netlist::SocConfig& config) const {
 
     exec::TaskGraph pnr_graph;
     std::optional<exec::TaskId> static_task;
+    pnr::Placement static_placement;
     if (!static_pnr_hit)
       static_task = pnr_graph.add(
           "pnr:static",
           [&] {
-            const pnr::PnrRun run =
+            pnr::PnrRun run =
                 engine.run_static(static_ckpt, result.pblocks, static_state);
             run_ok[kStaticSlot] = run.success() ? 1 : 0;
             run_fmax[kStaticSlot] = run.route.achieved_fmax_mhz;
-            result.full_bitstream_bytes =
-                bitgen
-                    .full(config.name, static_ckpt.netlist,
-                          run.place.placement)
-                    .raw_bytes();
+            static_placement = std::move(run.place.placement);
           },
           {}, std::numeric_limits<int>::max());
 
@@ -424,7 +433,7 @@ FlowResult PrEspFlow::run(const netlist::SocConfig& config) const {
                              bitstream::pbs_filename(
                                  config.name, impl.partition,
                                  jobs[j].module));
-              if (cache) fresh_pbs[j] = pbs;
+              if (cache) fresh_pbs[j] = pbs;  // fits the reserve: no realloc
             },
             std::move(deps), lut_priority(group_luts));
       }
@@ -433,6 +442,14 @@ FlowResult PrEspFlow::run(const netlist::SocConfig& config) const {
     result.exec.tasks += pnr_graph.size();
     result.exec.pnr_wall_seconds = pnr_graph.makespan_seconds();
     result.exec.busy_seconds += pnr_graph.busy_seconds();
+    // The full bitstream is generated here, on the driver thread, rather
+    // than in the static task, for the same reason as fresh_pbs: its
+    // ~19.5 MB buffer would stay cached in the arena of whichever worker
+    // ran that task. The member runs no longer wait for it either.
+    if (!static_pnr_hit)
+      result.full_bitstream_bytes =
+          bitgen.full(config.name, static_ckpt.netlist, static_placement)
+              .raw_bytes();
 
     // Persist fresh stage results (driver thread, after the graph).
     if (cache) {

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <chrono>
 #include <string>
+#include <thread>
 
 #include "exec/topology.hpp"
 #include "trace/trace.hpp"
@@ -16,6 +17,10 @@ namespace {
 /// index keyed by pool pointer keeps stealing correct even then.
 thread_local const ThreadPool* t_pool = nullptr;
 thread_local int t_worker = -1;
+
+/// Failed take() sweeps a worker retries (yielding in between) before it
+/// announces itself as a sleeper.
+constexpr int kParkSpins = 4;
 }  // namespace
 
 ThreadPool::ThreadPool(const Options& options) : options_(options) {
@@ -35,6 +40,7 @@ ThreadPool::ThreadPool(const Options& options) : options_(options) {
   for (int i = 0; i < n; ++i) {
     workers_.push_back(std::make_unique<Worker>());
     workers_.back()->steal_order = steal_order(topo, i, n);
+    external_.steal_order.push_back(i);
   }
   threads_.reserve(static_cast<std::size_t>(n));
   for (int i = 0; i < n; ++i)
@@ -72,97 +78,57 @@ void ThreadPool::submit(std::function<void()> fn) {
   Task* task = new Task(std::move(fn));
   // Spawn edge: the task inherits the submitter's clock snapshot.
   annot::OnTaskCreate(task);
-  const int w = (t_pool == this) ? t_worker : -1;
-  if (w >= 0) {
-    Worker& worker = *workers_[static_cast<std::size_t>(w)];
-    if (options_.mutex_deques) {
-      std::lock_guard<std::mutex> lock(worker.mutex);
-      worker.mutex_deque.push_back(task);
-    } else {
-      worker.deque.push(task);
-    }
-  } else {
-    std::lock_guard<std::mutex> lock(injection_mutex_);
-    injection_.push_back(task);
+  {
+    Worker& target = slot(current_worker());
+    std::lock_guard<std::mutex> lock(target.mutex);
+    target.deque.push_back(task);
   }
+  // Pairs with the sleeper's increment-then-re-check (worker_loop,
+  // wait_idle): either its re-check sees this task or this load sees it.
+  // The queue mutex orders the same hand-off for TSan, which ignores
+  // fences.
+  std::atomic_thread_fence(std::memory_order_seq_cst);
+  if (sleepers_.load(std::memory_order_relaxed) == 0) return;
   {
     std::lock_guard<std::mutex> lock(wake_mutex_);
     ++epoch_;
   }
   wake_cv_.notify_one();
+  idle_cv_.notify_all();
 }
 
-ThreadPool::Task* ThreadPool::pop_own(int worker) {
-  Worker& own = *workers_[static_cast<std::size_t>(worker)];
-  if (options_.mutex_deques) {
-    std::lock_guard<std::mutex> lock(own.mutex);
-    if (own.mutex_deque.empty()) return nullptr;
-    Task* task = own.mutex_deque.back();
-    own.mutex_deque.pop_back();
-    return task;
-  }
-  return own.deque.pop();
-}
-
-ThreadPool::Task* ThreadPool::steal_from(int victim) {
-  Worker& slot = *workers_[static_cast<std::size_t>(victim)];
-  if (options_.mutex_deques) {
-    std::lock_guard<std::mutex> lock(slot.mutex);
-    if (slot.mutex_deque.empty()) return nullptr;
-    Task* task = slot.mutex_deque.front();
-    slot.mutex_deque.pop_front();
-    return task;
-  }
-  return slot.deque.steal();
-}
-
-void ThreadPool::count_steal_failure(int worker) {
-  if (worker >= 0)
-    workers_[static_cast<std::size_t>(worker)]->steal_failures.fetch_add(
-        1, std::memory_order_relaxed);
+ThreadPool::Task* ThreadPool::pop(Worker& from, bool newest) {
+  std::lock_guard<std::mutex> lock(from.mutex);
+  if (from.deque.empty()) return nullptr;
+  Task* task = newest ? from.deque.back() : from.deque.front();
+  if (newest)
+    from.deque.pop_back();
   else
-    external_steal_failures_.fetch_add(1, std::memory_order_relaxed);
+    from.deque.pop_front();
+  return task;
 }
 
 ThreadPool::Task* ThreadPool::take(int worker) {
   // 1. Own deque, newest first (cache-warm subtasks).
   if (worker >= 0) {
-    if (Task* task = pop_own(worker)) return task;
+    if (Task* task = pop(slot(worker), true)) return task;
   }
   // 2. Injection queue, oldest first.
-  {
-    std::lock_guard<std::mutex> lock(injection_mutex_);
-    if (!injection_.empty()) {
-      Task* task = injection_.front();
-      injection_.pop_front();
-      return task;
-    }
-  }
+  if (Task* task = pop(external_, false)) return task;
   // 3. Steal from siblings, oldest first (largest remaining work),
   // same-NUMA-node victims first. No tracing in here: this is the hot
-  // spin path and must not take locks or touch the trace buffers.
-  const int n = static_cast<int>(workers_.size());
-  if (worker >= 0) {
-    Worker& own = *workers_[static_cast<std::size_t>(worker)];
-    for (const int victim : own.steal_order) {
-      if (Task* task = steal_from(victim)) {
-        own.stolen.fetch_add(1, std::memory_order_relaxed);
-        // Successful steals only: failed probes stay annotation-free so
-        // the CAS spin path never crosses into the detector.
-        annot::OnSteal();
-        return task;
-      }
-      count_steal_failure(worker);
+  // probe path and takes no lock but the deque mutexes it probes.
+  Worker& self = slot(worker);
+  for (const int victim : self.steal_order) {
+    if (Task* task = pop(*workers_[static_cast<std::size_t>(victim)],
+                         false)) {
+      self.stolen.fetch_add(1, std::memory_order_relaxed);
+      // Successful steals only: failed probes stay annotation-free so
+      // the probe path never crosses into the detector.
+      annot::OnSteal();
+      return task;
     }
-  } else {
-    for (int victim = 0; victim < n; ++victim) {
-      if (Task* task = steal_from(victim)) {
-        external_stolen_.fetch_add(1, std::memory_order_relaxed);
-        annot::OnSteal();
-        return task;
-      }
-      count_steal_failure(worker);
-    }
+    self.steal_failures.fetch_add(1, std::memory_order_relaxed);
   }
   return nullptr;
 }
@@ -178,11 +144,7 @@ void ThreadPool::execute(Task* task, int worker) {
   annot::AtomicPublish(this, "exec.pool");
   annot::OnTaskEnd(task);
   delete task;
-  if (worker >= 0)
-    workers_[static_cast<std::size_t>(worker)]->executed.fetch_add(
-        1, std::memory_order_relaxed);
-  else
-    external_executed_.fetch_add(1, std::memory_order_relaxed);
+  slot(worker).executed.fetch_add(1, std::memory_order_relaxed);
   if (unfinished_.fetch_sub(1, std::memory_order_acq_rel) == 1) {
     std::lock_guard<std::mutex> lock(wake_mutex_);
     idle_cv_.notify_all();
@@ -190,7 +152,7 @@ void ThreadPool::execute(Task* task, int worker) {
 }
 
 bool ThreadPool::run_one() {
-  const int worker = (t_pool == this) ? t_worker : -1;
+  const int worker = current_worker();
   Task* task = take(worker);
   if (task == nullptr) return false;
   execute(task, worker);
@@ -214,17 +176,27 @@ void ThreadPool::worker_loop(int index) {
   trace::set_thread_name("worker-" + std::to_string(index));
   Worker& self = *workers_[static_cast<std::size_t>(index)];
   while (true) {
-    if (Task* task = take(index)) {
-      execute(task, index);
+    Task* found = take(index);
+    // Yield and retry a few times before parking: a submitter that is
+    // only momentarily behind refills the queues without paying for a
+    // wake, and a pool whose workers stay awake submits without one.
+    for (int spin = 0; found == nullptr && spin < kParkSpins; ++spin) {
+      std::this_thread::yield();
+      found = take(index);
+    }
+    if (found != nullptr) {
+      execute(found, index);
       continue;
     }
+    sleepers_.fetch_add(1, std::memory_order_seq_cst);
     std::unique_lock<std::mutex> lock(wake_mutex_);
     if (stop_) return;
     const std::uint64_t seen = epoch_;
     lock.unlock();
-    // Late re-check: a submit may have landed between the failed take and
-    // reading the epoch.
+    // Late re-check, now that submit() can see us: a task pushed before
+    // the increment is found here, one pushed after it moves the epoch.
     if (Task* task = take(index)) {
+      sleepers_.fetch_sub(1, std::memory_order_relaxed);
       execute(task, index);
       continue;
     }
@@ -235,24 +207,36 @@ void ThreadPool::worker_loop(int index) {
     annot::OnPark();
     lock.lock();
     wake_cv_.wait(lock, [&] { return stop_ || epoch_ != seen; });
+    lock.unlock();
+    sleepers_.fetch_sub(1, std::memory_order_relaxed);
     self.unparks.fetch_add(1, std::memory_order_relaxed);
     annot::OnUnpark();
-    if (stop_) return;
   }
 }
 
 void ThreadPool::wait_idle() {
+  const int worker = current_worker();
   while (true) {
     if (run_one()) continue;
-    std::unique_lock<std::mutex> lock(wake_mutex_);
     if (unfinished_.load(std::memory_order_acquire) == 0) break;
+    // Same park protocol as worker_loop, so a submit while we sleep wakes
+    // us to help instead of leaving the task to busy workers.
+    sleepers_.fetch_add(1, std::memory_order_seq_cst);
+    std::unique_lock<std::mutex> lock(wake_mutex_);
     const std::uint64_t seen = epoch_;
-    // Wake on either full drain (idle_cv_) or new work to help with
-    // (epoch change). Periodic re-check covers the cross-cv race cheaply.
-    idle_cv_.wait_for(lock, std::chrono::milliseconds(1), [&] {
+    lock.unlock();
+    if (Task* task = take(worker)) {
+      sleepers_.fetch_sub(1, std::memory_order_relaxed);
+      execute(task, worker);
+      continue;
+    }
+    lock.lock();
+    idle_cv_.wait(lock, [&] {
       return unfinished_.load(std::memory_order_acquire) == 0 ||
              epoch_ != seen;
     });
+    lock.unlock();
+    sleepers_.fetch_sub(1, std::memory_order_relaxed);
   }
   // Completion edge other half: join every finished task's publish into
   // the waiter's clock.
@@ -262,18 +246,15 @@ void ThreadPool::wait_idle() {
 
 ThreadPool::Stats ThreadPool::stats() const {
   Stats s;
-  s.executed = external_executed_.load(std::memory_order_relaxed);
-  s.stolen = external_stolen_.load(std::memory_order_relaxed);
-  s.steal_failures =
-      external_steal_failures_.load(std::memory_order_relaxed);
-  for (const auto& worker : workers_) {
-    s.executed += worker->executed.load(std::memory_order_relaxed);
-    s.stolen += worker->stolen.load(std::memory_order_relaxed);
-    s.steal_failures +=
-        worker->steal_failures.load(std::memory_order_relaxed);
-    s.parks += worker->parks.load(std::memory_order_relaxed);
-    s.unparks += worker->unparks.load(std::memory_order_relaxed);
-  }
+  const auto add = [&s](const Worker& from) {
+    s.executed += from.executed.load(std::memory_order_relaxed);
+    s.stolen += from.stolen.load(std::memory_order_relaxed);
+    s.steal_failures += from.steal_failures.load(std::memory_order_relaxed);
+    s.parks += from.parks.load(std::memory_order_relaxed);
+    s.unparks += from.unparks.load(std::memory_order_relaxed);
+  };
+  add(external_);
+  for (const auto& worker : workers_) add(*worker);
   s.max_queue_depth = max_queue_depth_.load(std::memory_order_relaxed);
   return s;
 }

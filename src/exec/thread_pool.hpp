@@ -8,15 +8,19 @@
 // (FIFO: oldest, usually largest work) or the injection queue. Threads
 // submitting from outside the pool land in the injection queue.
 //
-// The per-worker deques are Chase-Lev lock-free deques (chase_lev.hpp):
-// the owner's push/pop touch no lock and no contended cache line on the
-// fast path; thieves synchronize through one CAS on the victim's `top`.
-// Victims are visited in topology order — same-NUMA-node workers first —
-// and workers are best-effort pinned to CPUs when the host has enough of
-// them (exec/topology.hpp). The pre-PR mutex-guarded deques survive as a
-// baseline for A/B measurement: per pool via Options::mutex_deques, or
-// build-wide with -DPRESP_EXEC_MUTEX_DEQUE=ON (bench_micro --contention
-// compares both in one binary).
+// Each per-worker deque is a std::deque guarded by the worker's own
+// mutex: the owner and a thief only meet on one victim's lock. Victims are
+// visited in topology order — same-NUMA-node workers first — and workers
+// are best-effort pinned to CPUs when the host has enough of them
+// (exec/topology.hpp).
+//
+// Wake protocol: an idle worker yields and retries a few times, then —
+// like a blocked wait_idle() — counts itself in sleepers_ and only then
+// re-checks the queues before sleeping; a submit publishes its task and
+// then reads the count, and only takes wake_mutex_ to notify when someone
+// is parked. Either the sleeper's re-check sees the task, or the submit
+// sees the sleeper — so a busy pool submits without touching any shared
+// lock but the target queue's.
 //
 // Determinism contract: the pool never promises an execution *order*, so
 // tasks must be data-independent (or ordered via TaskGraph dependencies)
@@ -37,7 +41,6 @@
 #include <thread>
 #include <vector>
 
-#include "exec/chase_lev.hpp"
 #include "racecheck/annot.hpp"
 #include "racecheck/session.hpp"
 #include "trace/trace.hpp"
@@ -56,15 +59,6 @@ class ThreadPool {
     /// Non-zero: also run the seeded schedule fuzzer with this seed
     /// (only meaningful with racecheck = true).
     std::uint64_t racecheck_seed = 0;
-    /// Fall back to the mutex-guarded per-worker deques (the pre-Chase-Lev
-    /// implementation). Kept for A/B contention measurement; defaults to
-    /// the build-time PRESP_EXEC_MUTEX_DEQUE flag.
-    bool mutex_deques =
-#if defined(PRESP_EXEC_MUTEX_DEQUE)
-        true;
-#else
-        false;
-#endif
     /// Pin workers round-robin to CPUs (no-op when the host has fewer
     /// CPUs than workers, or off Linux).
     bool pin_workers = true;
@@ -78,8 +72,6 @@ class ThreadPool {
   ThreadPool& operator=(const ThreadPool&) = delete;
 
   int threads() const { return static_cast<int>(threads_.size()); }
-  /// True when this pool runs the mutex-deque baseline implementation.
-  bool mutex_deques() const { return options_.mutex_deques; }
 
   /// Enqueues one task. Callable from any thread, including from inside a
   /// running task (the subtask lands in the submitting worker's own deque).
@@ -100,7 +92,7 @@ class ThreadPool {
   struct Stats {
     std::uint64_t executed = 0;  // tasks run to completion
     std::uint64_t stolen = 0;    // tasks taken from another worker's deque
-    /// Steal probes that found nothing (empty victim or lost CAS race).
+    /// Steal probes that found the victim's deque empty.
     std::uint64_t steal_failures = 0;
     /// Times a worker went to sleep on the wake cv / was woken from it.
     std::uint64_t parks = 0;
@@ -128,16 +120,16 @@ class ThreadPool {
   }
 
   /// One per worker, cache-line separated so a worker's own-counter
-  /// updates never bounce a line a sibling is spinning on.
+  /// updates never bounce a line a sibling is spinning on. Threads outside
+  /// the pool share one more slot, external_, whose deque is the
+  /// injection queue.
   struct alignas(64) Worker {
-    ChaseLevDeque<Task> deque;
-    // Mutex-deque baseline (Options::mutex_deques).
     std::mutex mutex;
-    std::deque<Task*> mutex_deque;
+    std::deque<Task*> deque;  // owner pops the back, thieves the front
     /// Victim visitation order, same-NUMA-node first (topology.hpp).
     std::vector<int> steal_order;
-    // Per-worker counters: written by the owning thread only (relaxed),
-    // aggregated by stats().
+    // Per-slot counters, aggregated by stats(). A worker's are written by
+    // its own thread only; external_'s by any outside thread (relaxed).
     std::atomic<std::uint64_t> executed{0};
     std::atomic<std::uint64_t> stolen{0};
     std::atomic<std::uint64_t> steal_failures{0};
@@ -145,21 +137,23 @@ class ThreadPool {
     std::atomic<std::uint64_t> unparks{0};
   };
 
+  Worker& slot(int worker) {
+    return worker >= 0 ? *workers_[static_cast<std::size_t>(worker)]
+                       : external_;
+  }
   void worker_loop(int index);
+  /// Pops the newest (back) or oldest (front) task of `from`'s deque.
+  static Task* pop(Worker& from, bool newest);
   /// Takes a task: own deque back (worker >= 0), else injection front,
-  /// else steal from sibling fronts. Returns nullptr if none. Failed
-  /// steal probes are charged to `worker`'s counters (or the pool-level
-  /// external counters for worker < 0); no tracing happens in here — the
-  /// steal fast path must stay call-free (counters are published from the
-  /// park slow path; see publish_trace_counters).
+  /// else steal from sibling fronts. Returns nullptr if none. Steals and
+  /// failed probes are charged to slot(worker)'s counters; no tracing
+  /// happens in here — counters are published from the park slow path
+  /// (see publish_trace_counters).
   Task* take(int worker);
-  Task* pop_own(int worker);
-  Task* steal_from(int victim);
   void execute(Task* task, int worker);
   /// Slow-path-only trace emission: aggregates the per-worker counters
   /// into the exec.steals / exec.steal_failures / exec.parks counters.
   void publish_trace_counters();
-  void count_steal_failure(int worker);
 
   Options options_;
   /// Pool-owned race-detection session (Options::racecheck). Installed
@@ -168,13 +162,12 @@ class ThreadPool {
   std::unique_ptr<racecheck::Session> racecheck_;
   std::vector<std::unique_ptr<Worker>> workers_;
   std::vector<std::thread> threads_;
+  Worker external_;
 
-  std::mutex injection_mutex_;
-  std::deque<Task*> injection_;
-
-  // Sleep/wake protocol: epoch_ increments under wake_mutex_ on every
-  // submit, so a worker that saw empty queues re-checks instead of
-  // sleeping through a wakeup.
+  // Sleep/wake protocol (see the file comment): epoch_ increments under
+  // wake_mutex_ only when a submit finds sleepers_ non-zero, and a sleeper
+  // waits for it to move past the value it read before its re-check.
+  std::atomic<int> sleepers_{0};
   std::mutex wake_mutex_;
   std::condition_variable wake_cv_;
   std::condition_variable idle_cv_;
@@ -183,10 +176,6 @@ class ThreadPool {
 
   std::atomic<std::uint64_t> unfinished_{0};
   std::atomic<std::uint64_t> max_queue_depth_{0};
-  // External-thread (worker < 0) counters; workers use their own slots.
-  std::atomic<std::uint64_t> external_executed_{0};
-  std::atomic<std::uint64_t> external_stolen_{0};
-  std::atomic<std::uint64_t> external_steal_failures_{0};
 };
 
 /// Fork-join group for nested parallelism: tasks spawned through a group

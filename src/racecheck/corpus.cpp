@@ -242,7 +242,7 @@ void clean_store_read() {
       fs::temp_directory_path() / "presp-racecheck-store";
   fs::create_directories(dir);
   exec::ThreadPool pool(2);
-  runtime::FileBitstreamSource source(dir.string(), &pool);
+  runtime::FileBitstreamSource source(dir.string(), pool);
   source.store(0, "corpus_mod", std::vector<std::uint8_t>(256, 0xAB));
   auto future = source.fetch(0, "corpus_mod");
   const std::vector<std::uint8_t> data = future.get();

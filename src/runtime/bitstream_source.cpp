@@ -58,7 +58,7 @@ std::vector<std::uint8_t> read_file(const std::string& path) {
 }  // namespace
 
 FileBitstreamSource::FileBitstreamSource(std::string directory,
-                                         exec::ThreadPool* pool,
+                                         exec::ThreadPool& pool,
                                          FileSourceOptions options)
     : directory_(std::move(directory)), pool_(pool), options_(options) {
   std::filesystem::create_directories(directory_);
@@ -97,15 +97,12 @@ std::future<std::vector<std::uint8_t>> FileBitstreamSource::fetch(
     annot::AtomicPublish(this, "store.read");
     return data;
   };
-  if (pool_ == nullptr) {
-    return std::async(std::launch::async, read);
-  }
   // Bridge the pool's fire-and-forget submit() to a future; the promise
   // lives on the heap until the task fulfills it.
   auto promise =
       std::make_shared<std::promise<std::vector<std::uint8_t>>>();
   auto future = promise->get_future();
-  pool_->submit([promise, read] {
+  pool_.submit([promise, read] {
     try {
       promise->set_value(read());
     } catch (...) {

@@ -13,8 +13,8 @@
 //     bandwidth, the payload future is ready immediately.
 //   FileBitstreamSource — bitstreams resident on a boot medium (SD/flash
 //     over SPI); store() writes real files, fetch() submits a real
-//     asynchronous read to an exec::ThreadPool (or std::async without
-//     one) and models seek + streaming latency.
+//     asynchronous read to an exec::ThreadPool and models seek +
+//     streaming latency.
 #pragma once
 
 #include <atomic>
@@ -86,13 +86,11 @@ struct FileSourceOptions {
 };
 
 /// Payloads written to and re-read from real files under `directory`.
-/// fetch() performs the read asynchronously: on the given thread pool
-/// when one is provided, else via std::async — either way the simulated
-/// clock keeps running while the host I/O completes.
+/// fetch() performs the read asynchronously on `pool` while the simulated
+/// clock keeps running.
 class FileBitstreamSource final : public AsyncBitstreamSource {
  public:
-  FileBitstreamSource(std::string directory,
-                      exec::ThreadPool* pool = nullptr,
+  FileBitstreamSource(std::string directory, exec::ThreadPool& pool,
                       FileSourceOptions options = {});
 
   void store(int tile, const std::string& module,
@@ -109,7 +107,7 @@ class FileBitstreamSource final : public AsyncBitstreamSource {
   std::string path_for(int tile, const std::string& module) const;
 
   std::string directory_;
-  exec::ThreadPool* pool_;
+  exec::ThreadPool& pool_;
   FileSourceOptions options_;
   std::atomic<std::uint64_t> reads_{0};
 };

@@ -1,5 +1,7 @@
 #include <gtest/gtest.h>
 
+#include <cstdint>
+
 #include "core/flow.hpp"
 #include "core/metrics.hpp"
 #include "core/reference_designs.hpp"
@@ -20,13 +22,19 @@ const auto* const kEnv =
 
 // ------------------------------------------------------------- metrics
 
+// gtest names each case after the raw bytes of its parameter, so the
+// padding is spelled out and zeroed: implicit padding would carry stack
+// garbage into the test names and make them differ from run to run.
 struct MetricsCase {
   int soc;
+  std::int32_t pad0 = 0;
   double kappa;
   double alpha;
   double gamma;
   DesignClass cls;
+  std::int32_t pad1 = 0;
 };
+static_assert(sizeof(MetricsCase) == 40);
 
 class CharacterizationMetrics
     : public ::testing::TestWithParam<MetricsCase> {};
@@ -48,10 +56,14 @@ TEST_P(CharacterizationMetrics, MatchTable3) {
 INSTANTIATE_TEST_SUITE_P(
     PaperTable3, CharacterizationMetrics,
     ::testing::Values(
-        MetricsCase{1, 27.0, 0.8, 0.48, DesignClass::kClass11},
-        MetricsCase{2, 27.2, 10.1, 1.47, DesignClass::kClass12},
-        MetricsCase{3, 27.1, 9.6, 1.07, DesignClass::kClass13},
-        MetricsCase{4, 11.5, 10.8, 4.1, DesignClass::kClass21}),
+        MetricsCase{.soc = 1, .kappa = 27.0, .alpha = 0.8, .gamma = 0.48,
+                    .cls = DesignClass::kClass11},
+        MetricsCase{.soc = 2, .kappa = 27.2, .alpha = 10.1, .gamma = 1.47,
+                    .cls = DesignClass::kClass12},
+        MetricsCase{.soc = 3, .kappa = 27.1, .alpha = 9.6, .gamma = 1.07,
+                    .cls = DesignClass::kClass13},
+        MetricsCase{.soc = 4, .kappa = 11.5, .alpha = 10.8, .gamma = 4.1,
+                    .cls = DesignClass::kClass21}),
     [](const auto& info) {
       return "SOC_" + std::to_string(info.param.soc);
     });

@@ -231,42 +231,103 @@ TEST(TaskGraph, RunTwiceThrows) {
 TEST(TaskGraph, StealingActuallyHappensUnderImbalance) {
   // One long chain submitted by a single producer plus many small tasks:
   // with 4 workers some tasks must migrate. This is a smoke test that the
-  // deques + steal path work; counts are nondeterministic by design.
+  // deques + steal path work; counts are nondeterministic by design, but
+  // every index must run exactly once (no task lost or duplicated on its
+  // way through a deque).
+  constexpr int kTasks = 256;
   ThreadPool pool(4);
   std::atomic<int> count{0};
+  std::vector<std::atomic<int>> runs(kTasks);
   TaskGroup group(&pool);
-  for (int i = 0; i < 256; ++i)
-    group.run([&count] {
+  for (int i = 0; i < kTasks; ++i)
+    group.run([&count, &runs, i] {
       volatile int x = 0;
       for (int j = 0; j < 1000; ++j) x = x + j;
+      runs[static_cast<std::size_t>(i)].fetch_add(1,
+                                                  std::memory_order_relaxed);
       ++count;
     });
   group.wait();
-  EXPECT_EQ(count.load(), 256);
-  EXPECT_EQ(pool.stats().executed, 256u);
+  // group.wait() returns once every body has run; the pool bumps its
+  // executed counter just after, so let it settle before reading stats.
+  pool.wait_idle();
+  EXPECT_EQ(count.load(), kTasks);
+  EXPECT_EQ(pool.stats().executed, static_cast<std::uint64_t>(kTasks));
+  for (int i = 0; i < kTasks; ++i)
+    EXPECT_EQ(runs[static_cast<std::size_t>(i)].load(), 1) << "index " << i;
 }
 
-TEST(ThreadPool, MutexDequeBaselineExecutesIdentically) {
-  ThreadPool::Options options;
-  options.threads = 4;
-  options.mutex_deques = true;
-  ThreadPool pool(options);
-  EXPECT_TRUE(pool.mutex_deques());
-  std::atomic<int> count{0};
-  TaskGroup group(&pool);
-  for (int i = 0; i < 512; ++i) group.run([&count] { ++count; });
-  group.wait();
-  EXPECT_EQ(count.load(), 512);
-  EXPECT_EQ(pool.stats().executed, 512u);
+/// Spins (never helping the pool) until `flag` is set; false once
+/// `seconds` have passed.
+bool spin_until(const std::atomic<bool>& flag, int seconds = 10) {
+  const auto deadline =
+      std::chrono::steady_clock::now() + std::chrono::seconds(seconds);
+  while (!flag.load(std::memory_order_acquire)) {
+    if (std::chrono::steady_clock::now() > deadline) return false;
+    std::this_thread::yield();
+  }
+  return true;
 }
 
-TEST(ThreadPool, LockFreeIsTheDefaultUnlessBuildFlagSet) {
-  ThreadPool pool(2);
-#if defined(PRESP_EXEC_MUTEX_DEQUE)
-  EXPECT_TRUE(pool.mutex_deques());
-#else
-  EXPECT_FALSE(pool.mutex_deques());
-#endif
+/// Waits until the pool has run `executed` tasks and, on even cycles,
+/// until every worker has parked; odd cycles submit while workers are
+/// still on their way to the park.
+void settle(const ThreadPool& pool, std::uint64_t executed, int cycle) {
+  while (pool.stats().executed < executed) std::this_thread::yield();
+  if (cycle % 2 != 0) return;
+  const auto deadline =
+      std::chrono::steady_clock::now() + std::chrono::seconds(10);
+  while (std::chrono::steady_clock::now() < deadline) {
+    const ThreadPool::Stats stats = pool.stats();
+    if (stats.parks - stats.unparks ==
+        static_cast<std::uint64_t>(pool.threads()))
+      return;
+    std::this_thread::yield();
+  }
+}
+
+TEST(ThreadPool, NoLostWakeupWhenTheWaiterNeverHelps) {
+  // The waiter spins on a flag and never calls run_one() or wait_idle(),
+  // so each task runs only if its submit wakes a parked (or parking)
+  // worker. The in-task submit lands in the submitting worker's own
+  // deque while that worker spins, so a sibling must be woken to steal
+  // it.
+  constexpr int kCycles = 1000;
+  for (const int threads : {2, 4}) {
+    ThreadPool pool(threads);
+    std::uint64_t executed = 0;
+    for (int cycle = 0; cycle < kCycles; ++cycle) {
+      settle(pool, executed, cycle);
+      std::atomic<bool> done{false};
+      pool.submit([&done] { done.store(true, std::memory_order_release); });
+      executed += 1;
+      const bool woke = spin_until(done);
+      if (!woke) pool.wait_idle();  // drain before the flag goes away
+      ASSERT_TRUE(woke) << "external submit never ran: cycle " << cycle
+                        << ", " << threads << " workers";
+    }
+    for (int cycle = 0; cycle < kCycles; ++cycle) {
+      settle(pool, executed, cycle);
+      std::atomic<bool> done{false};
+      std::atomic<bool> outer_done{false};
+      std::atomic<bool> stolen{false};
+      pool.submit([&] {
+        pool.submit([&done] { done.store(true, std::memory_order_release); });
+        stolen.store(spin_until(done), std::memory_order_relaxed);
+        outer_done.store(true, std::memory_order_release);
+      });
+      executed += 2;
+      // Outlasts the task's own 10 s wait, so a lost in-task wake is
+      // reported as such.
+      const bool woke = spin_until(outer_done, 20);
+      if (!woke) pool.wait_idle();  // drain before the flags go away
+      ASSERT_TRUE(woke) << "external submit never ran: cycle " << cycle
+                        << ", " << threads << " workers";
+      ASSERT_TRUE(stolen.load(std::memory_order_relaxed))
+          << "in-task submit never ran: cycle " << cycle << ", " << threads
+          << " workers";
+    }
+  }
 }
 
 TEST(ThreadPool, StatsExposeStealFailuresAndParkTransitions) {

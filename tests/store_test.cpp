@@ -288,18 +288,12 @@ TEST(BitstreamSourceTest, FileSourceAsyncRoundTrip) {
   {
     // Thread-pool path: the read really happens on a pool worker.
     exec::ThreadPool pool(2);
-    FileBitstreamSource source(dir.string(), &pool);
+    FileBitstreamSource source(dir.string(), pool);
     source.store(3, "acc_a", payload);
     EXPECT_EQ(source.fetch(3, "acc_a").get(), payload);
     EXPECT_EQ(source.reads(), 1u);
     EXPECT_GT(source.latency_cycles(payload.size()),
               source.latency_cycles(0));
-  }
-  {
-    // std::async fallback path reads the same file back.
-    FileBitstreamSource source(dir.string());
-    EXPECT_EQ(source.fetch(3, "acc_a").get(), payload);
-    EXPECT_EQ(source.reads(), 1u);
   }
 
   // Cache miss through the store performs the real file read while the
@@ -307,7 +301,7 @@ TEST(BitstreamSourceTest, FileSourceAsyncRoundTrip) {
   sim::Kernel kernel;
   soc::MainMemory memory;
   exec::ThreadPool pool(2);
-  FileBitstreamSource source(dir.string(), &pool);
+  FileBitstreamSource source(dir.string(), pool);
   StoreOptions options;
   options.cache_slots = 1;
   BitstreamStore store(memory, options, &source);

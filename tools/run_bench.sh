@@ -7,8 +7,10 @@
 #                   cross-checks output checksums, emits BENCH_exec.json
 #                   (speedup, efficiency, work-steal counters, bitstream
 #                   cache hit rate, metrics-registry snapshot, plus the
-#                   lock-free-vs-mutex contention sweep and the warm/cold
-#                   flow-cache comparison with `hardware_threads`).
+#                   pool's fine-grained contention sweep, whose
+#                   `tasks_per_s_at_8` must clear an absolute floor on a
+#                   >= 4-thread host, and the warm/cold flow-cache
+#                   comparison with `hardware_threads`).
 #   --store-compare serial-vs-pipelined bitstream store: a repeated
 #                   reconfiguration workload on one DFXC, comparing total
 #                   simulated cycles for the combined transfer, the split
@@ -76,10 +78,10 @@ fi
 # The exec rows must carry the pool's steal/queue-depth observability
 # fields, the store cache hit rate, the aggregated metrics snapshot
 # (see src/trace/metrics.hpp), the host's hardware thread count, the
-# lock-free-vs-mutex contention sweep and the flow-cache comparison.
+# contention sweep and the flow-cache comparison.
 for field in speedup efficiency steals max_queue_depth cache_hit_rate \
              metrics hardware_threads steal_failures \
-             lockfree_speedup_at_8 warm_wall_reduction \
+             tasks_per_s_at_8 warm_wall_reduction \
              modified_wall_reduction warm_matches_cold; do
   if ! grep -q "\"$field\"" "$OUT"; then
     echo "run_bench: $OUT is missing the \"$field\" field" >&2
@@ -104,20 +106,27 @@ if ! awk "BEGIN{exit !($MODIFIED_REDUCTION >= 0.4)}"; then
   exit 1
 fi
 
-# The lock-free pool must beat the mutex baseline on the steal-heavy
-# workload — but only on a host with real parallelism (the sweep is
-# meaningless on a 1-2 core container, so warn instead of failing).
+# Fine-grained pool throughput at 8 threads must clear an absolute floor
+# — but only on a host with real parallelism (the sweep is meaningless
+# on a 1-2 core container, so warn instead of failing). The floor is
+# 1.5x the mutex-deque pool this one replaced: that pool's
+# `mutex_seconds` at 8 threads, median of 7 `--contention` runs in the
+# default (RelWithDebInfo) build on a 4-thread x86-64 host, was
+# 0.0925419 s per 100 000 tasks = 1 080 591 tasks/s, and
+# 1.5 x 1 080 591 = 1 620 887 tasks/s. That is the old gate's bar (the
+# shipped pool at >= 1.5x the mutex baseline) as an absolute number.
+TASKS_PER_S_FLOOR=1620887
 HW_THREADS=$(json_num "$OUT" hardware_threads)
-SPEEDUP8=$(json_num "$OUT" lockfree_speedup_at_8)
+TASKS_PER_S8=$(json_num "$OUT" tasks_per_s_at_8)
 if awk "BEGIN{exit !($HW_THREADS >= 4)}"; then
-  if ! awk "BEGIN{exit !($SPEEDUP8 >= 1.5)}"; then
-    echo "run_bench: lock-free pool only ${SPEEDUP8}x the mutex" \
-         "baseline at 8 threads (need >= 1.5x on a >= 4-thread host)" >&2
+  if ! awk "BEGIN{exit !($TASKS_PER_S8 >= $TASKS_PER_S_FLOOR)}"; then
+    echo "run_bench: pool ran only ${TASKS_PER_S8} tasks/s at 8 threads" \
+         "(need >= $TASKS_PER_S_FLOOR on a >= 4-thread host)" >&2
     exit 1
   fi
 else
   echo "run_bench: warning: only $HW_THREADS hardware thread(s);" \
-       "skipping the 1.5x contention gate (speedup at 8: ${SPEEDUP8}x)"
+       "skipping the contention floor (${TASKS_PER_S8} tasks/s at 8)"
 fi
 
 # The store comparison must carry the simulated-latency and cache fields.

@@ -36,10 +36,11 @@
 #              bit-identical) and a presp-lint --watch regression (an
 #              injected config edit must be re-linted within one poll)
 #   asan       AddressSanitizer+UBSan build running the full ctest suite
-#   tsan       ThreadSanitizer build running the Chase-Lev deque stress
-#              tests (owner pop vs concurrent thieves), the exec unit
-#              tests, the serial/parallel determinism test, the trace
-#              tests (concurrent emitters), the fleet tests, the ops
+#   tsan       ThreadSanitizer build running the exec unit tests (pool
+#              wake/steal hand-offs, including the lost-wakeup and
+#              exactly-once steal checks), the serial/parallel
+#              determinism test, the trace tests (concurrent
+#              emitters), the fleet tests, the ops
 #              tests (server + registries under real threads) and the
 #              dynamic-floorplan + repacker tests (compaction racing a
 #              request-pool of allocator threads)
@@ -341,9 +342,8 @@ stage_asan() {
 stage_tsan() {
   cmake -B "$TSAN_BUILD_DIR" -S . -DPRESP_SANITIZE=thread >/dev/null
   cmake --build "$TSAN_BUILD_DIR" \
-      --target chase_lev_test exec_test exec_determinism_test trace_test \
+      --target exec_test exec_determinism_test trace_test \
       fleet_test ops_test dynamic_floorplan_test repacker_test -j
-  "$TSAN_BUILD_DIR"/tests/chase_lev_test
   "$TSAN_BUILD_DIR"/tests/exec_test
   "$TSAN_BUILD_DIR"/tests/exec_determinism_test
   "$TSAN_BUILD_DIR"/tests/trace_test
