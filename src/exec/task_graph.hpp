@@ -80,9 +80,6 @@ class TaskGraph {
   struct Node {
     std::function<void()> fn;
     std::vector<TaskId> dependents;
-    /// Predecessors, kept for racecheck: an executing node consumes each
-    /// dependency's publish so graph edges are happens-before edges.
-    std::vector<TaskId> deps;
     int remaining_deps = 0;
     Report report;
   };

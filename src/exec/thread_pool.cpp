@@ -24,15 +24,6 @@ constexpr int kParkSpins = 4;
 }  // namespace
 
 ThreadPool::ThreadPool(const Options& options) : options_(options) {
-  if (options_.racecheck && racecheck::hooks_compiled()) {
-    racecheck::Session::Options ropts;
-    ropts.fuzz = options_.racecheck_seed != 0;
-    ropts.seed = options_.racecheck_seed;
-    racecheck_ = std::make_unique<racecheck::Session>(ropts);
-    // Another session already installed (e.g. the racecheck CLI owns the
-    // run): defer to it instead of fighting over the hook slot.
-    if (!racecheck_->install()) racecheck_.reset();
-  }
   const int n = std::max(1, options.threads);
   options_.threads = n;
   const Topology topo = Topology::detect();
@@ -60,8 +51,6 @@ ThreadPool::~ThreadPool() {
   wake_cv_.notify_all();
   for (std::thread& t : threads_) t.join();
   // All tasks have completed (wait_idle), so no queued Task* remain.
-  // Workers are joined, so uninstalling the pool-owned session is safe.
-  if (racecheck_ != nullptr) racecheck_->uninstall();
 }
 
 void ThreadPool::submit(std::function<void()> fn) {
@@ -76,8 +65,6 @@ void ThreadPool::submit(std::function<void()> fn) {
                    static_cast<double>(depth));
   }
   Task* task = new Task(std::move(fn));
-  // Spawn edge: the task inherits the submitter's clock snapshot.
-  annot::OnTaskCreate(task);
   {
     Worker& target = slot(current_worker());
     std::lock_guard<std::mutex> lock(target.mutex);
@@ -123,9 +110,6 @@ ThreadPool::Task* ThreadPool::take(int worker) {
     if (Task* task = pop(*workers_[static_cast<std::size_t>(victim)],
                          false)) {
       self.stolen.fetch_add(1, std::memory_order_relaxed);
-      // Successful steals only: failed probes stay annotation-free so
-      // the probe path never crosses into the detector.
-      annot::OnSteal();
       return task;
     }
     self.steal_failures.fetch_add(1, std::memory_order_relaxed);
@@ -134,15 +118,7 @@ ThreadPool::Task* ThreadPool::take(int worker) {
 }
 
 void ThreadPool::execute(Task* task, int worker) {
-  // The task runs as its own logical thread: its clock starts from the
-  // spawn snapshot (not from whatever this worker ran before), so
-  // detection never depends on which worker picked the task up.
-  annot::OnTaskBegin(task);
   (*task)();
-  // Completion edge half: wait_idle()/run loops consume on the pool
-  // object, ordering every finished task before the waiter's continuation.
-  annot::AtomicPublish(this, "exec.pool");
-  annot::OnTaskEnd(task);
   delete task;
   slot(worker).executed.fetch_add(1, std::memory_order_relaxed);
   if (unfinished_.fetch_sub(1, std::memory_order_acq_rel) == 1) {
@@ -204,13 +180,11 @@ void ThreadPool::worker_loop(int index) {
     // allocate a buffer chunk) is safe here — never in take().
     publish_trace_counters();
     self.parks.fetch_add(1, std::memory_order_relaxed);
-    annot::OnPark();
     lock.lock();
     wake_cv_.wait(lock, [&] { return stop_ || epoch_ != seen; });
     lock.unlock();
     sleepers_.fetch_sub(1, std::memory_order_relaxed);
     self.unparks.fetch_add(1, std::memory_order_relaxed);
-    annot::OnUnpark();
   }
 }
 
@@ -238,9 +212,6 @@ void ThreadPool::wait_idle() {
     lock.unlock();
     sleepers_.fetch_sub(1, std::memory_order_relaxed);
   }
-  // Completion edge other half: join every finished task's publish into
-  // the waiter's clock.
-  annot::AtomicConsume(this, "exec.pool");
   publish_trace_counters();
 }
 
@@ -263,11 +234,6 @@ int ThreadPool::current_worker() const {
   return t_pool == this ? t_worker : -1;
 }
 
-std::vector<lint::Diagnostic> ThreadPool::racecheck_report() {
-  if (racecheck_ == nullptr) return {};
-  return racecheck_->finish();
-}
-
 // ---------------------------------------------------------------- TaskGroup
 
 void TaskGroup::run(std::function<void()> fn) {
@@ -278,8 +244,6 @@ void TaskGroup::run(std::function<void()> fn) {
   remaining_.fetch_add(1, std::memory_order_relaxed);
   pool_->submit([this, fn = std::move(fn)] {
     fn();
-    // Group-completion edge half; wait() consumes after the handshake.
-    annot::AtomicPublish(this, "exec.group");
     // The decrement must happen under mutex_: wait() re-acquires the mutex
     // after observing zero, which then cannot succeed until this thread has
     // released cv_ and the lock — so the caller cannot destroy the group
@@ -305,7 +269,6 @@ void TaskGroup::wait() {
   // mutex_: once we hold the lock, that task has fully left cv_/mutex_ and
   // destroying the group is safe.
   std::lock_guard<std::mutex> lock(mutex_);
-  annot::AtomicConsume(this, "exec.group");
 }
 
 }  // namespace presp::exec

@@ -41,8 +41,6 @@
 #include <thread>
 #include <vector>
 
-#include "racecheck/annot.hpp"
-#include "racecheck/session.hpp"
 #include "trace/trace.hpp"
 
 namespace presp::exec {
@@ -51,14 +49,6 @@ class ThreadPool {
  public:
   struct Options {
     int threads = 1;
-    /// Install a racecheck::Session for this pool's lifetime: every
-    /// annotated access while the pool is alive feeds the race detector,
-    /// and racecheck_report() returns the findings. No-op when another
-    /// session is already installed or the build compiled hooks out.
-    bool racecheck = false;
-    /// Non-zero: also run the seeded schedule fuzzer with this seed
-    /// (only meaningful with racecheck = true).
-    std::uint64_t racecheck_seed = 0;
     /// Pin workers round-robin to CPUs (no-op when the host has fewer
     /// CPUs than workers, or off Linux).
     bool pin_workers = true;
@@ -104,11 +94,6 @@ class ThreadPool {
   /// Index of the calling thread within this pool's workers, or -1 when
   /// called from outside (used to label per-task trace spans).
   int current_worker() const;
-
-  /// Finalizes the pool-owned racecheck session (Options::racecheck) and
-  /// returns its diagnostics. Call after wait_idle(); empty when the
-  /// pool owns no session. Idempotent.
-  std::vector<lint::Diagnostic> racecheck_report();
 
  private:
   using Task = std::function<void()>;
@@ -156,10 +141,6 @@ class ThreadPool {
   void publish_trace_counters();
 
   Options options_;
-  /// Pool-owned race-detection session (Options::racecheck). Installed
-  /// before the workers spawn and uninstalled after they join, honouring
-  /// the session lifetime contract (racecheck/session.hpp).
-  std::unique_ptr<racecheck::Session> racecheck_;
   std::vector<std::unique_ptr<Worker>> workers_;
   std::vector<std::thread> threads_;
   Worker external_;

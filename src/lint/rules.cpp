@@ -8,7 +8,6 @@
 #include <map>
 #include <optional>
 #include <set>
-#include <thread>
 
 #include "bitstream/relocate.hpp"
 #include "fleet/topology.hpp"
@@ -592,10 +591,9 @@ void check_lock_order(LintContext& ctx, DiagnosticEngine& engine) {
       }
     }
   }
-  // Cycle search shared with the racecheck lock-order pass
-  // (lint/cycle.hpp): map tile ids onto dense vertices and look for one
-  // closed walk — a cycle means two threads can each hold a lock the
-  // other needs.
+  // Cycle search (lint/cycle.hpp): map tile ids onto dense vertices and
+  // look for one closed walk — a cycle means two threads can each hold a
+  // lock the other needs.
   std::vector<int> tiles;
   std::map<int, int> vertex_of;
   auto vertex = [&](int tile) {
@@ -917,42 +915,6 @@ void check_exec_cache_size_bounds(LintContext& ctx,
   }
 }
 
-/// Host hardware-thread count, overridable for deterministic tests.
-unsigned lint_hardware_threads() {
-  if (const char* env = std::getenv("PRESP_LINT_HW_THREADS")) {
-    const long long value = std::atoll(env);
-    if (value > 0) return static_cast<unsigned>(value);
-  }
-  const unsigned hw = std::thread::hardware_concurrency();
-  return hw > 0 ? hw : 1;
-}
-
-void check_exec_racecheck_overhead(LintContext& ctx,
-                                   DiagnosticEngine& engine) {
-  const Config& raw = ctx.raw();
-  if (!raw.get_bool_or("exec", "racecheck", false)) return;
-  if (!raw.has("exec", "threads")) return;
-  const long long threads = raw.get_int_or("exec", "threads", 1);
-  const unsigned hw = lint_hardware_threads();
-  if (threads <= static_cast<long long>(hw)) return;
-  // Every annotation funnels through one detector mutex, so racecheck
-  // serializes oversubscribed workers that would otherwise time-slice —
-  // the run degenerates to a convoy and tells you nothing extra: the
-  // detector's verdicts are schedule-independent anyway.
-  engine.add({"exec.racecheck-overhead",
-              Severity::kWarning,
-              {ctx.file(), ctx.line_of("exec", "threads"), "exec"},
-              "racecheck is enabled with " + std::to_string(threads) +
-                  " threads on a " + std::to_string(hw) +
-                  "-hardware-thread host: annotation hooks serialize on "
-                  "the detector lock, so oversubscription only adds "
-                  "convoy overhead without finding more races",
-              "lower [exec] threads to at most " + std::to_string(hw) +
-                  " while racecheck is on (detection does not depend on "
-                  "the schedule), or rely on the seeded fuzzer for "
-                  "interleaving coverage"});
-}
-
 // ------------------------------------------------- artifact-gate rules
 
 void force_parse(LintContext& ctx, DiagnosticEngine&) {
@@ -1169,24 +1131,6 @@ const RuleRegistry& RuleRegistry::builtin() {
            "with cache_dir",
            Severity::kError},
           check_exec_cache_size_bounds);
-    r.add({"exec.racecheck-overhead", "exec",
-           "racecheck is not combined with thread oversubscription "
-           "(annotations serialize on the detector lock)",
-           Severity::kWarning},
-          check_exec_racecheck_overhead);
-    // race (catalog-only: emitted by racecheck::Detector)
-    r.add({"race.data-race", "race",
-           "two annotated accesses, at least one a write, unordered by "
-           "happens-before",
-           Severity::kError});
-    r.add({"race.lockset", "race",
-           "accesses are ordered today but no single lock guards them "
-           "(inconsistent lock discipline)",
-           Severity::kWarning});
-    r.add({"race.lock-order", "race",
-           "observed + declared lock acquisition graph is acyclic "
-           "(no latent deadlock)",
-           Severity::kWarning});
     // pnr (catalog-only: emitted by pnr::verify_placement)
     r.add({"pnr.unplaced-cell", "pnr",
            "every cell has a valid placement location", Severity::kError});

@@ -1,4 +1,4 @@
-// The embedded ops server (DESIGN.md §16): a dependency-free HTTP/1.1
+// The embedded ops server (DESIGN.md §15): a dependency-free HTTP/1.1
 // endpoint surface over the observability subsystems that already exist
 // in-process —
 //

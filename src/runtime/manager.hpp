@@ -300,6 +300,10 @@ class ReconfigurationManager {
   ManagerOptions options_;
   ManagerStats stats_;
   TileHealthRegistry health_;
+  // Lock nesting, kept acyclic so no two requests can deadlock: a tile
+  // lock is held across the prc and register stages, the fetch stage
+  // nests the register update, and the pipelined path overlaps fetch
+  // with the previous request's prc stage.
   /// The single PRC/ICAP: in pipelined mode this guards only the program
   /// (ICAP streaming) stage; in serial mode, the whole transfer.
   sim::Semaphore prc_lock_;

@@ -9,6 +9,7 @@
 #include <chrono>
 #include <mutex>
 #include <stdexcept>
+#include <string>
 #include <thread>
 #include <vector>
 
@@ -202,6 +203,58 @@ TEST(TaskGraph, ExceptionPropagatesFromPoolRun) {
   EXPECT_THROW(graph.run(&pool), std::runtime_error);
   // Everything downstream of the failure was skipped.
   EXPECT_EQ(ran.load(), 0);
+}
+
+// A 12-node chain on a real pool whose node 5 cancels the graph or
+// throws. Whichever worker runs which node, nodes 0-4 are done, node 5 is
+// done (cancel) or failed (throw), and nodes 6-11 are never started.
+constexpr std::size_t kChain = 12;
+constexpr std::size_t kTrigger = 5;
+
+std::vector<TaskStatus> run_chain_on_pool(int workers, bool cancel) {
+  ThreadPool pool(workers);
+  TaskGraph graph;
+  for (TaskId i = 0; i < kChain; ++i) {
+    std::vector<TaskId> deps;
+    if (i > 0) deps.push_back(i - 1);
+    graph.add(
+        "n" + std::to_string(i),
+        [&graph, i, cancel] {
+          if (i != kTrigger) return;
+          if (cancel)
+            graph.cancel();
+          else
+            throw std::runtime_error("failure at node 5");
+        },
+        deps);
+  }
+  if (cancel)
+    graph.run(&pool);
+  else
+    EXPECT_THROW(graph.run(&pool), std::runtime_error);
+  std::vector<TaskStatus> statuses;
+  for (TaskId id = 0; id < graph.size(); ++id)
+    statuses.push_back(graph.report(id).status);
+  return statuses;
+}
+
+TEST(TaskGraph, CancelMidChainOnPoolGivesExactStatusSets) {
+  std::vector<TaskStatus> expected(kChain, TaskStatus::kCancelled);
+  std::fill_n(expected.begin(), kTrigger + 1, TaskStatus::kDone);
+  for (const int workers : {1, 2, 4})
+    for (int run = 0; run < 16; ++run)
+      EXPECT_EQ(run_chain_on_pool(workers, true), expected)
+          << workers << " workers, run " << run;
+}
+
+TEST(TaskGraph, ThrowMidChainOnPoolGivesExactStatusSets) {
+  std::vector<TaskStatus> expected(kChain, TaskStatus::kCancelled);
+  std::fill_n(expected.begin(), kTrigger, TaskStatus::kDone);
+  expected[kTrigger] = TaskStatus::kFailed;
+  for (const int workers : {1, 2, 4})
+    for (int run = 0; run < 16; ++run)
+      EXPECT_EQ(run_chain_on_pool(workers, false), expected)
+          << workers << " workers, run " << run;
 }
 
 TEST(TaskGraph, RecordsPerTaskTiming) {

@@ -16,6 +16,7 @@
 #include "core/reference_designs.hpp"
 #include "fleet/topology.hpp"
 #include "lint/context.hpp"
+#include "lint/cycle.hpp"
 #include "lint/diagnostic.hpp"
 #include "lint/rules.hpp"
 #include "ops/options.hpp"
@@ -541,6 +542,23 @@ TEST(RuntimeLintTest, ConsistentLockOrderIsClean) {
   EXPECT_FALSE(has_rule(diags, "runtime.lock-order"));
 }
 
+// The cycle search behind runtime.lock-order (lint/cycle.hpp).
+TEST(CycleTest, FindsClosedWalkAndHandlesAcyclic) {
+  // 0 -> 1 -> 2 -> 0 plus an acyclic tail.
+  const std::vector<std::vector<int>> cyclic{{1}, {2}, {0}, {0}};
+  const std::vector<int> cycle = lint::find_cycle(cyclic);
+  ASSERT_GE(cycle.size(), 3u);
+  EXPECT_EQ(cycle.front(), cycle.back());
+
+  const std::vector<std::vector<int>> acyclic{{1}, {2}, {}};
+  EXPECT_TRUE(lint::find_cycle(acyclic).empty());
+
+  const std::vector<std::vector<int>> self{{0}};
+  const std::vector<int> loop = lint::find_cycle(self);
+  ASSERT_EQ(loop.size(), 2u);
+  EXPECT_EQ(loop[0], loop[1]);
+}
+
 TEST(RuntimeLintTest, RepackerBoundsInRuntimeSection) {
   const auto spin = run_lint(with_runtime(
       "thread_a = r1c0:conv2d\nrepack_interval_cycles = 0\n"));
@@ -1051,43 +1069,6 @@ TEST(ExecLintTest, CapWithoutCacheDirIsAWarning) {
   for (const Diagnostic& d : diags)
     if (d.rule == "exec.cache-size-bounds")
       EXPECT_EQ(d.severity, Severity::kWarning);
-}
-
-/// Pins the hardware-thread count the overhead rule sees, so the tests
-/// do not depend on the build host.
-class HwThreadsGuard {
- public:
-  explicit HwThreadsGuard(const char* count) {
-    ::setenv("PRESP_LINT_HW_THREADS", count, 1);
-  }
-  ~HwThreadsGuard() { ::unsetenv("PRESP_LINT_HW_THREADS"); }
-};
-
-TEST(ExecLintTest, RacecheckWithOversubscriptionWarns) {
-  const HwThreadsGuard hw("4");
-  const auto diags =
-      run_lint(with_exec("racecheck = true\nthreads = 8\n"));
-  ASSERT_TRUE(has_rule(diags, "exec.racecheck-overhead"));
-  EXPECT_FALSE(has_error(diags));
-  for (const Diagnostic& d : diags)
-    if (d.rule == "exec.racecheck-overhead") {
-      EXPECT_EQ(d.severity, Severity::kWarning);
-      EXPECT_NE(d.message.find("4-hardware-thread"), std::string::npos);
-      EXPECT_FALSE(d.fix_hint.empty());
-    }
-}
-
-TEST(ExecLintTest, RacecheckWithinHardwareThreadsIsClean) {
-  const HwThreadsGuard hw("4");
-  const auto diags =
-      run_lint(with_exec("racecheck = true\nthreads = 4\n"));
-  EXPECT_FALSE(has_rule(diags, "exec.racecheck-overhead"));
-}
-
-TEST(ExecLintTest, OversubscriptionWithoutRacecheckIsClean) {
-  const HwThreadsGuard hw("4");
-  const auto diags = run_lint(with_exec("threads = 64\n"));
-  EXPECT_FALSE(has_rule(diags, "exec.racecheck-overhead"));
 }
 
 // --------------------------------------- shipped designs stay clean

@@ -1,4 +1,4 @@
-// The live ops plane (DESIGN.md §16): options parsing, the SSE
+// The live ops plane (DESIGN.md §15): options parsing, the SSE
 // ring/hub isolation contract, wire framing, snapshot-vs-mutation
 // safety of the registries the endpoints read, and the embedded HTTP
 // server end to end on an ephemeral loopback port — including the 503
@@ -195,7 +195,7 @@ TEST(SseWireTest, FrameParserRoundTripSkipsComments) {
 
 // The endpoint contract: readers take snapshots while writer threads
 // keep mutating, and every read is internally consistent. Run under
-// TSan/racecheck (tier-1) this is the data-race regression for the
+// TSan (tier-1) this is the data-race regression for the
 // observer path.
 TEST(SnapshotUnderMutationTest, MetricsRegistrySnapshotsStayConsistent) {
   trace::MetricsRegistry registry;

@@ -12,7 +12,7 @@
 //
 // With --watch it instead keeps polling the configs for edits, re-lints
 // changed files, and (with --ops-port) publishes each fresh report as a
-// "lint" SSE event on an embedded ops server (DESIGN.md §16).
+// "lint" SSE event on an embedded ops server (DESIGN.md §15).
 #include <algorithm>
 #include <string>
 #include <vector>

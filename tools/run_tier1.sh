@@ -24,11 +24,6 @@
 #              repacker-off even with kRepackAbort faults armed, and the
 #              repack-on replay must be deterministic; frag-before/after
 #              and the migration count land in the summary
-#   racecheck  seeded race-detector corpus gate (presp-racecheck): every
-#              intentionally-racy workload must report its expected
-#              race.* rule within 8 seeds, and the clean exec/runtime/
-#              fleet/store workloads must stay silent across a 32-seed
-#              schedule-fuzzer sweep; finding counts land in the summary
 #   ops        live ops plane gate: the ops_test suite (HTTP endpoints,
 #              SSE fan-out, snapshot-under-mutation), a fleet soak with
 #              the embedded server live (8 SSE clients, one deliberately
@@ -38,12 +33,15 @@
 #   asan       AddressSanitizer+UBSan build running the full ctest suite
 #   tsan       ThreadSanitizer build running the exec unit tests (pool
 #              wake/steal hand-offs, including the lost-wakeup and
-#              exactly-once steal checks), the serial/parallel
+#              exactly-once steal checks, and TaskGraph cancel/throw
+#              sweeps on real pools), the serial/parallel
 #              determinism test, the trace tests (concurrent
 #              emitters), the fleet tests, the ops
-#              tests (server + registries under real threads) and the
+#              tests (server + registries under real threads), the
 #              dynamic-floorplan + repacker tests (compaction racing a
-#              request-pool of allocator threads)
+#              request-pool of allocator threads), the bitstream-store
+#              tests (pool-backed file reads racing the store) and the
+#              flow-cache tests (cache I/O from a parallel flow)
 #
 # Usage: tools/run_tier1.sh [--stage <name>]...
 #   No --stage: every stage runs (minus SKIP_ASAN/SKIP_TSAN skips).
@@ -70,7 +68,7 @@ TSAN_BUILD_DIR=${TSAN_BUILD_DIR:-build-tsan}
 CONFIG_FLAGS=${CONFIG_FLAGS:-}
 TIER1_SUMMARY=${TIER1_SUMMARY:-tier1_summary.json}
 
-ALL_STAGES="build lint trace workflows fleet defrag racecheck ops asan tsan"
+ALL_STAGES="build lint trace workflows fleet defrag ops asan tsan"
 
 # ----------------------------------------------------------------- stages
 # Each stage body runs in a `set -e` subshell; any failing command fails
@@ -240,34 +238,6 @@ stage_defrag() {
       "$migrations migrations ($DEFRAG_JSON)"
 }
 
-stage_racecheck() {
-  cmake --build "$BUILD_DIR" --target presp-racecheck -j
-  RC_BIN="$BUILD_DIR/tools/presp-racecheck"
-  RC_SUMMARY="$BUILD_DIR/tier1_racecheck.json"
-  RC_SARIF="$BUILD_DIR/tier1_racecheck.sarif"
-  # Regression gate over the seeded corpus: every racy workload must
-  # report its expected race.* rule within 8 seeds and every clean
-  # workload must stay silent (presp-racecheck exits 2 on a mismatch).
-  "$RC_BIN" --all --seeds 8 --expect --stats \
-      --format sarif --out "$RC_SARIF" --summary-json "$RC_SUMMARY"
-  if grep -q '"hooks_compiled":false' "$RC_SUMMARY"; then
-    echo "tier-1 racecheck: hooks compiled out (-DPRESP_RACECHECK=OFF)," \
-        "corpus gate skipped"
-    return 0
-  fi
-  # Clean suite again under the wider sweep: the exec/runtime/fleet/store
-  # instrumentation must stay race-clean under 32 perturbed schedules.
-  clean_args=$("$RC_BIN" --list |
-      awk -F'\t' '$2 == "clean" { printf "--workload %s ", $1 }')
-  # shellcheck disable=SC2086  # one flag pair per clean workload
-  "$RC_BIN" $clean_args --seeds 32 --expect >/dev/null
-  # Surface the finding counts into tier1_summary.json (runner merges
-  # this fragment into the stage row).
-  sed 's/^{"hooks_compiled":true,//; s/}$//' "$RC_SUMMARY" \
-      > .tier1_stage_extra
-  echo "tier-1 racecheck: corpus gate clean ($RC_SUMMARY, $RC_SARIF)"
-}
-
 stage_ops() {
   cmake --build "$BUILD_DIR" --target ops_test bench_fleet presp-lint -j
 
@@ -343,7 +313,8 @@ stage_tsan() {
   cmake -B "$TSAN_BUILD_DIR" -S . -DPRESP_SANITIZE=thread >/dev/null
   cmake --build "$TSAN_BUILD_DIR" \
       --target exec_test exec_determinism_test trace_test \
-      fleet_test ops_test dynamic_floorplan_test repacker_test -j
+      fleet_test ops_test dynamic_floorplan_test repacker_test \
+      store_test flow_cache_test -j
   "$TSAN_BUILD_DIR"/tests/exec_test
   "$TSAN_BUILD_DIR"/tests/exec_determinism_test
   "$TSAN_BUILD_DIR"/tests/trace_test
@@ -351,6 +322,8 @@ stage_tsan() {
   "$TSAN_BUILD_DIR"/tests/ops_test
   "$TSAN_BUILD_DIR"/tests/dynamic_floorplan_test
   "$TSAN_BUILD_DIR"/tests/repacker_test
+  "$TSAN_BUILD_DIR"/tests/store_test
+  "$TSAN_BUILD_DIR"/tests/flow_cache_test
 }
 
 # ----------------------------------------------------------------- runner
@@ -422,7 +395,7 @@ for stage in $SELECTED; do
     echo "tier-1: stage '$stage' FAILED" >&2
   fi
   stage_seconds=$(($(date +%s) - stage_start))
-  # A stage may leave extra JSON fields (e.g. racecheck finding counts)
+  # A stage may leave extra JSON fields (e.g. defrag frag ratios)
   # in .tier1_stage_extra; merge them into its summary row.
   stage_extra=""
   if [ -s .tier1_stage_extra ]; then
