@@ -10,9 +10,10 @@
 //
 // `bench_micro --store-compare [out.json]` runs a repeated-accelerator
 // reconfiguration workload (two tiles cycling modules on one DFXC) under
-// the serial combined transfer, the pipelined split fetch/program flow,
-// and pipelined + LRU bitstream cache, comparing total simulated cycles
-// and emitting BENCH_store.json (speedup, cache hit rate).
+// the one-staging-credit baseline (fetch and program never overlap;
+// reported as the "serial" row and fields), the pipelined fetch/program
+// flow, and pipelined + LRU bitstream cache, comparing total simulated
+// cycles and emitting BENCH_store.json (speedup, cache hit rate).
 //
 // `bench_micro --contention [out.json]` measures fine-grained task
 // throughput of the work-stealing pool at 1/2/8 threads (tasks/s; the
@@ -468,8 +469,8 @@ int run_store_compare(const std::string& out_path) {
               "%zu-byte images\n",
               kStoreRounds, kStorePbsBytes);
   std::printf("  %-22s %12s %10s\n", "variant", "sim cycles", "speedup");
-  std::printf("  %-22s %12llu %9.2fx\n", "serial",
-              static_cast<unsigned long long>(serial.cycles), 1.0);
+  std::printf("  %-22s %12llu %9.2fx  (one staging credit, no overlap)\n",
+              "serial", static_cast<unsigned long long>(serial.cycles), 1.0);
   std::printf("  %-22s %12llu %9.2fx  (%llu staged fetches)\n", "pipelined",
               static_cast<unsigned long long>(pipelined.cycles),
               speedup(pipelined),
@@ -496,7 +497,8 @@ int run_store_compare(const std::string& out_path) {
   std::printf("store-compare: wrote %s\n", out_path.c_str());
   const bool ok = pipelined.cycles < serial.cycles;
   if (!ok)
-    std::printf("store-compare: PIPELINED FLOW NOT FASTER THAN SERIAL\n");
+    std::printf("store-compare: PIPELINED FLOW NOT FASTER THAN THE "
+                "NO-OVERLAP BASELINE\n");
   return ok ? 0 : 1;
 }
 

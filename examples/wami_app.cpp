@@ -10,8 +10,9 @@
 //
 // --cache-slots bounds kernel DRAM to N partial-bitstream slots (LRU,
 // filled from the async source); --prefetch warms each tile's next
-// kernel while the current one runs; --serial disables the pipelined
-// fetch/program overlap (the legacy combined ICAP transfer).
+// kernel while the current one runs; --serial gives the manager a
+// single DFXC staging credit, so the next request's fetch waits for the
+// previous program stage (no fetch/program overlap).
 // --ops-port serves live telemetry on 127.0.0.1:N while the app runs
 // (0 = ephemeral): curl /metrics, /health (tile health + quarantine
 // stats from the reconfiguration manager), /trace/summary, /events.

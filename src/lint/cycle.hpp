@@ -1,4 +1,6 @@
-// Cycle detection for the runtime lock-order rule: an iterative
+// Cycle detection for the lint rules that look for deadlocks:
+// runtime.lock-order (tile-lock acquisition orders across threads) and
+// noc.deadlock (the NoC's channel dependency graph). An iterative
 // three-colour DFS over a small adjacency-list digraph that returns the
 // first cycle found as an explicit node sequence, so the caller can
 // render "a -> b -> ... -> a" without re-deriving it from colouring

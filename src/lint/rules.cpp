@@ -428,60 +428,48 @@ void check_noc_deadlock(LintContext& ctx, DiagnosticEngine& engine) {
       edges[l1].insert(l2);
     }
   }
-  // Iterative three-colour DFS for a cycle.
-  std::map<long long, int> colour;  // 0 white, 1 grey, 2 black
-  std::vector<long long> stack;
-  const auto link_name = [&](long long link) {
+  // Cycle search (lint/cycle.hpp) over dense vertices numbered in
+  // ascending link order, so the first cycle found is the same one an
+  // ordered walk of the link ids would report.
+  std::vector<long long> links;
+  for (const auto& [l1, nexts] : edges) {
+    links.push_back(l1);
+    links.insert(links.end(), nexts.begin(), nexts.end());
+  }
+  std::sort(links.begin(), links.end());
+  links.erase(std::unique(links.begin(), links.end()), links.end());
+  const auto vertex = [&](long long link) {
+    return static_cast<int>(
+        std::lower_bound(links.begin(), links.end(), link) - links.begin());
+  };
+  std::vector<std::vector<int>> adjacency(links.size());
+  for (const auto& [l1, nexts] : edges)
+    for (const long long l2 : nexts)
+      adjacency[static_cast<std::size_t>(vertex(l1))].push_back(vertex(l2));
+  const std::vector<int> walk = find_cycle(adjacency);
+  if (walk.empty()) return;
+  const auto link_name = [&](int v) {
+    const long long link = links[static_cast<std::size_t>(v)];
     return "(" + std::to_string(link / tiles) + "->" +
            std::to_string(link % tiles) + ")";
   };
-  for (const auto& [start, _] : edges) {
-    if (colour[start] != 0) continue;
-    std::vector<std::pair<long long, bool>> work{{start, false}};
-    while (!work.empty()) {
-      auto [link, done] = work.back();
-      work.pop_back();
-      if (done) {
-        colour[link] = 2;
-        if (!stack.empty() && stack.back() == link) stack.pop_back();
-        continue;
-      }
-      if (colour[link] == 2) continue;
-      colour[link] = 1;
-      stack.push_back(link);
-      work.push_back({link, true});
-      const auto it = edges.find(link);
-      if (it == edges.end()) continue;
-      for (const long long next : it->second) {
-        if (colour[next] == 1) {
-          // Back edge: reconstruct the cycle from the grey stack.
-          std::string cycle;
-          bool in_cycle = false;
-          int shown = 0;
-          for (const long long l : stack) {
-            if (l == next) in_cycle = true;
-            if (!in_cycle) continue;
-            if (shown++ > 8) {
-              cycle += " -> ...";
-              break;
-            }
-            cycle += (cycle.empty() ? "" : " -> ") + link_name(l);
-          }
-          cycle += " -> " + link_name(next);
-          engine.add({"noc.deadlock",
-                      Severity::kError,
-                      {ctx.file(), 0, "noc"},
-                      "the route function admits a channel dependency "
-                      "cycle: " + cycle,
-                      "use dimension-ordered (XY) routing or add virtual "
-                      "channels"});
-          return;
-        }
-        if (colour[next] == 0) work.push_back({next, false});
-      }
+  // At most nine links of the cycle, then its closing link.
+  std::string cycle;
+  for (std::size_t i = 0; i + 1 < walk.size(); ++i) {
+    if (i > 8) {
+      cycle += " -> ...";
+      break;
     }
-    stack.clear();
+    cycle += (cycle.empty() ? "" : " -> ") + link_name(walk[i]);
   }
+  cycle += " -> " + link_name(walk.back());
+  engine.add({"noc.deadlock",
+              Severity::kError,
+              {ctx.file(), 0, "noc"},
+              "the route function admits a channel dependency "
+              "cycle: " + cycle,
+              "use dimension-ordered (XY) routing or add virtual "
+              "channels"});
 }
 
 void check_queue_gating(LintContext& ctx, DiagnosticEngine& engine) {

@@ -28,6 +28,7 @@
 // software. Error paths never throw across a coroutine suspension.
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
 #include <map>
 #include <memory>
@@ -127,15 +128,13 @@ struct ManagerOptions {
   int retry_budget = 3;
   /// Settle time after a recovery before stale interrupts are drained.
   long long irq_drain_cycles = 2'000;
-  /// Split each request into a fetch stage (DMA + CRC into the DFXC
-  /// staging buffer) and a program stage (ICAP streaming), so request
-  /// N+1's fetch overlaps request N's programming. false = the legacy
-  /// combined transfer (the serial baseline bench_micro compares
-  /// against).
+  /// Every request runs a fetch stage (DMA + CRC into a DFXC staging
+  /// slot) and then a program stage (ICAP streaming). true = one staging
+  /// credit per SocOptions::dfxc_staging_slots, so request N+1's fetch
+  /// overlaps request N's programming; false = a single credit, so the
+  /// next fetch waits for the previous program stage to end (the
+  /// no-overlap baseline bench_micro compares against).
   bool pipelined = true;
-  /// Bounded fetch->program buffer depth (2 = double buffer). Should not
-  /// exceed SocOptions::dfxc_staging_slots.
-  int staging_slots = 2;
   TileHealthOptions health;
 };
 
@@ -146,8 +145,8 @@ struct ManagerStats {
   std::uint64_t reconfigurations_failed = 0;
   std::uint64_t runs = 0;
   std::uint64_t driver_swaps = 0;
-  /// Fetch stages completed by the pipelined flow (DMA+CRC staged in the
-  /// DFXC ahead of — possibly overlapping — another request's program).
+  /// Fetch stages completed (DMA+CRC staged in the DFXC ahead of —
+  /// possibly overlapping — another request's program stage).
   std::uint64_t pipelined_fetches = 0;
   /// CRC failures detected by the DFX controller and retried.
   std::uint64_t crc_retries = 0;
@@ -232,7 +231,7 @@ class ReconfigurationManager {
   bool tile_idle(int tile) { return tile_lock(tile).available() > 0; }
 
   /// Repack commit path: forced reprogram of `module` on `tile` through
-  /// the regular (pipelined) DFXC flow, under the tile lock. Used by the
+  /// the regular DFXC fetch/program flow, under the tile lock. Used by the
   /// defragmentation repacker after a region relocation is staged; on
   /// escalation the usual quarantine/re-route machinery applies and the
   /// caller rolls the region move back.
@@ -267,23 +266,21 @@ class ReconfigurationManager {
   /// Core reconfiguration sequence; caller must hold the tile lock.
   /// Never throws after its first suspension: failures surface through
   /// `done`, and on escalation the partition is blanked and the tile
-  /// quarantined before completion. Dispatches to the pipelined
-  /// (split fetch/program) or serial (combined transfer) flow.
+  /// quarantined before completion. The fetch stage (DMA + CRC into the
+  /// DFXC staging buffer, serialized on fetch_lock_) may overlap another
+  /// request's program stage (ICAP streaming under prc_lock_); the
+  /// staging semaphore bounds the requests between the two.
   sim::Process reconfigure_locked(int tile, std::string module,
                                   Completion& done);
-  /// Legacy combined DMA+ICAP transfer under prc_lock_.
-  sim::Process reconfigure_serial(int tile, std::string module,
-                                  Completion& done);
-  /// Split-transaction flow: the fetch stage (DMA + CRC into the DFXC
-  /// staging buffer, serialized on fetch_lock_) overlaps the previous
-  /// request's program stage (ICAP streaming under prc_lock_); a bounded
-  /// staging semaphore forms the double buffer between them.
-  sim::Process reconfigure_pipelined(int tile, std::string module,
-                                     Completion& done);
+  /// Counts a failed reconfiguration, quarantines the tile and drops its
+  /// driver (never suspends).
+  void escalate(int tile, std::uint32_t track);
+  /// Watchdog deadline for one DFXC transfer of `bytes`.
+  sim::Time transfer_watchdog(std::size_t bytes) const;
   /// Demultiplexes the shared aux-tile IRQ stream into per-target
   /// mailboxes so concurrently waiting fetch/program stages never steal
-  /// each other's completions. Started lazily by the first pipelined
-  /// operation; serial mode keeps waiting on the raw stream.
+  /// each other's completions. Started lazily by the first DFXC
+  /// operation; from then on it owns the raw stream.
   sim::Process aux_irq_pump();
   void start_irq_pump();
   sim::Mailbox<std::uint64_t>& aux_box(int tile);
@@ -302,14 +299,15 @@ class ReconfigurationManager {
   TileHealthRegistry health_;
   // Lock nesting, kept acyclic so no two requests can deadlock: a tile
   // lock is held across the prc and register stages, the fetch stage
-  // nests the register update, and the pipelined path overlaps fetch
-  // with the previous request's prc stage.
-  /// The single PRC/ICAP: in pipelined mode this guards only the program
-  /// (ICAP streaming) stage; in serial mode, the whole transfer.
+  // nests the register update, and one request's fetch overlaps the
+  // previous request's prc stage.
+  /// The single PRC/ICAP: guards the program (ICAP streaming) stage, the
+  /// escalation blank and readback.
   sim::Semaphore prc_lock_;
   /// Serializes the DFXC fetch engine (one DMA+CRC in flight).
   sim::Semaphore fetch_lock_;
-  /// Bounded fetch->program buffer: one credit per DFXC staging slot.
+  /// Bounded fetch->program buffer: one credit per DFXC staging slot
+  /// (a single credit when ManagerOptions::pipelined is false).
   sim::Semaphore staging_sem_;
   /// Guards the shared DFXC address/length/target register file so a
   /// fetch-stage write sequence never interleaves with a program-stage

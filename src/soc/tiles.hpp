@@ -105,7 +105,8 @@ struct SocOptions {
   /// frame is abandoned (a partition rewrite aborts it immediately).
   long long fault_accel_hang_cycles = 1'000'000'000;
   /// Staging slots in the DFX controller's split-transaction fetch buffer
-  /// (2 = double buffer: one bitstream programming, one fetching).
+  /// (2 = double buffer: one bitstream programming, one fetching). The
+  /// runtime manager takes one staging credit per slot.
   int dfxc_staging_slots = 2;
 };
 

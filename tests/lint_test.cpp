@@ -64,6 +64,14 @@ bool has_rule(const std::vector<Diagnostic>& diags, const std::string& rule) {
   return false;
 }
 
+/// Message of the first diagnostic of `rule` ("" if none).
+std::string rule_message(const std::vector<Diagnostic>& diags,
+                         const std::string& rule) {
+  for (const Diagnostic& d : diags)
+    if (d.rule == rule) return d.message;
+  return "";
+}
+
 bool has_error(const std::vector<Diagnostic>& diags) {
   for (const Diagnostic& d : diags)
     if (d.severity == Severity::kError) return true;
@@ -461,6 +469,26 @@ TEST(NocLintTest, CyclicRoutesAreFlaggedAsDeadlock) {
   context.override_routes(std::move(table));
   const auto diags = run_context(context);
   ASSERT_TRUE(has_rule(diags, "noc.deadlock"));
+  EXPECT_EQ(rule_message(diags, "noc.deadlock"),
+            "the route function admits a channel dependency cycle: "
+            "(0->1) -> (1->4) -> (4->3) -> (3->0) -> (0->1)");
+}
+
+TEST(NocLintTest, LongDeadlockCycleIsTruncatedAfterNineLinks) {
+  LintContext context(kCleanSoc);
+  lint::RouteTable table = context.routes();
+  // Only two routes, which together walk all 14 directed links of the
+  // 2x3 mesh as one channel dependency cycle.
+  const int t = table.num_tiles();
+  for (auto& route : table.routes) route.clear();
+  table.routes[0 * t + 3] = {0, 1, 2, 5, 4, 1, 0, 3};
+  table.routes[0 * t + 1] = {0, 3, 4, 5, 2, 1, 4, 3, 0, 1};
+  context.override_routes(std::move(table));
+  const auto diags = run_context(context);
+  EXPECT_EQ(rule_message(diags, "noc.deadlock"),
+            "the route function admits a channel dependency cycle: "
+            "(0->1) -> (1->2) -> (2->5) -> (5->4) -> (4->1) -> (1->0) -> "
+            "(0->3) -> (3->4) -> (4->5) -> ... -> (0->1)");
 }
 
 TEST(NocLintTest, MissingDecouplerBreaksQueueGating) {
@@ -542,7 +570,8 @@ TEST(RuntimeLintTest, ConsistentLockOrderIsClean) {
   EXPECT_FALSE(has_rule(diags, "runtime.lock-order"));
 }
 
-// The cycle search behind runtime.lock-order (lint/cycle.hpp).
+// The cycle search behind runtime.lock-order and noc.deadlock
+// (lint/cycle.hpp).
 TEST(CycleTest, FindsClosedWalkAndHandlesAcyclic) {
   // 0 -> 1 -> 2 -> 0 plus an acyclic tail.
   const std::vector<std::vector<int>> cyclic{{1}, {2}, {0}, {0}};
@@ -672,8 +701,11 @@ TEST(FleetLintTest, DiagnosticsAnchorToTheFleetKeyLine) {
   const auto diags = run_lint(text);
   ASSERT_TRUE(has_rule(diags, "fleet.topology"));
   // kCleanSoc spans 14 lines; "[fleet]" follows the blank separator.
-  for (const Diagnostic& d : diags)
-    if (d.rule == "fleet.topology") EXPECT_GT(d.loc.line, 0);
+  for (const Diagnostic& d : diags) {
+    if (d.rule == "fleet.topology") {
+      EXPECT_GT(d.loc.line, 0);
+    }
+  }
 }
 
 TEST(FleetLintTest, RepackerBoundsInFleetSection) {
@@ -951,9 +983,11 @@ TEST(RuntimeLintTest, StoreCapacityMisconfigurations) {
   // One slot serializes the fetch/program pipeline.
   const auto one = run_lint(with_runtime("store_cache_slots = 1\n"));
   ASSERT_TRUE(has_rule(one, "runtime.store-capacity"));
-  for (const Diagnostic& d : one)
-    if (d.rule == "runtime.store-capacity")
+  for (const Diagnostic& d : one) {
+    if (d.rule == "runtime.store-capacity") {
       EXPECT_EQ(d.severity, Severity::kWarning);
+    }
+  }
 
   const auto negative = run_lint(with_runtime("store_cache_slots = -2\n"));
   EXPECT_TRUE(has_rule(negative, "runtime.store-capacity"));
@@ -963,9 +997,11 @@ TEST(RuntimeLintTest, StoreCapacityMisconfigurations) {
   const auto tiny = run_lint(with_runtime(
       "store_cache_slots = 4\nstore_slot_bytes = 64\n"));
   ASSERT_TRUE(has_rule(tiny, "runtime.store-capacity"));
-  for (const Diagnostic& d : tiny)
-    if (d.rule == "runtime.store-capacity")
+  for (const Diagnostic& d : tiny) {
+    if (d.rule == "runtime.store-capacity") {
       EXPECT_EQ(d.severity, Severity::kError);
+    }
+  }
 
   const auto sane = run_lint(with_runtime(
       "store_cache_slots = 2\nstore_slot_bytes = 8000000\n"));
@@ -1035,9 +1071,11 @@ TEST(ExecLintTest, CacheDirUnderAPlainFileIsAnError) {
   const auto diags =
       run_lint(with_exec("cache_dir = " + file + "/cache\n"));
   ASSERT_TRUE(has_rule(diags, "exec.cache-dir-writable"));
-  for (const Diagnostic& d : diags)
-    if (d.rule == "exec.cache-dir-writable")
+  for (const Diagnostic& d : diags) {
+    if (d.rule == "exec.cache-dir-writable") {
       EXPECT_NE(d.message.find("not a directory"), std::string::npos);
+    }
+  }
 }
 
 TEST(ExecLintTest, TinyCacheCapIsAnError) {
@@ -1066,9 +1104,11 @@ TEST(ExecLintTest, CapWithoutCacheDirIsAWarning) {
   const auto diags = run_lint(with_exec("cache_max_bytes = 268435456\n"));
   ASSERT_TRUE(has_rule(diags, "exec.cache-size-bounds"));
   EXPECT_FALSE(has_error(diags));
-  for (const Diagnostic& d : diags)
-    if (d.rule == "exec.cache-size-bounds")
+  for (const Diagnostic& d : diags) {
+    if (d.rule == "exec.cache-size-bounds") {
       EXPECT_EQ(d.severity, Severity::kWarning);
+    }
+  }
 }
 
 // --------------------------------------- shipped designs stay clean

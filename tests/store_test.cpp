@@ -1,8 +1,9 @@
 // Pipelined bitstream-store tests: fetch/program overlap (request N+1's
-// DMA fetch runs while request N streams through the ICAP), LRU cache
-// accounting and pin-blocking, fault isolation between the two pipeline
-// stages, bit-identical WAMI output with prefetch on/off, and the
-// asynchronous file-backed source round trip.
+// DMA fetch runs while request N streams through the ICAP, and never
+// with a single staging credit), staging credits sized to the DFXC's
+// staging slots, LRU cache accounting and pin-blocking, fault isolation
+// between the two pipeline stages, bit-identical WAMI output with
+// prefetch on/off, and the asynchronous file-backed source round trip.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -10,6 +11,7 @@
 #include <filesystem>
 #include <map>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "exec/thread_pool.hpp"
@@ -54,16 +56,25 @@ soc::AcceleratorRegistry test_registry() {
 
 constexpr std::size_t kPbsBytes = 250'000;
 
-class StoreFixture : public ::testing::Test {
- protected:
-  explicit StoreFixture(ManagerOptions options = {})
+/// The two-reconfigurable-tile SoC with every module registered.
+struct StoreRig {
+  explicit StoreRig(ManagerOptions options = {},
+                    soc::SocOptions soc_options = {})
       : registry_(test_registry()),
-        soc_(netlist::SocConfig::parse(kSocText), registry_),
+        soc_(netlist::SocConfig::parse(kSocText), registry_, soc_options),
         store_(soc_.memory()),
         manager_(soc_, store_, options) {
     for (const int tile : {3, 4})
       for (const char* module : {"acc_a", "acc_b", "acc_c"})
         store_.add(tile, module, kPbsBytes);
+  }
+
+  /// Loads one module on each reconfigurable tile, both requests issued
+  /// in the same cycle, and runs the kernel dry.
+  void load_two_tiles(Completion& d1, Completion& d2) {
+    manager_.ensure_module(3, "acc_a", d1);
+    manager_.ensure_module(4, "acc_c", d2);
+    soc_.kernel().run();
   }
 
   soc::AcceleratorRegistry registry_;
@@ -72,82 +83,123 @@ class StoreFixture : public ::testing::Test {
   ReconfigurationManager manager_;
 };
 
+class StoreFixture : public ::testing::Test, public StoreRig {};
+
+ManagerOptions one_credit_options() {
+  ManagerOptions options;
+  options.pipelined = false;
+  return options;
+}
+
 // ------------------------------------------------- fetch/program overlap
 
-/// Loads one module on each reconfigurable tile (both requests issued in
-/// the same cycle) and returns the total simulated time.
+/// Runs the two-tile load and returns the total simulated time.
 sim::Time run_two_tile_workload(bool pipelined) {
-  auto registry = test_registry();
-  soc::Soc soc(netlist::SocConfig::parse(kSocText), registry);
-  BitstreamStore store(soc.memory());
-  for (const int tile : {3, 4})
-    for (const char* module : {"acc_a", "acc_b", "acc_c"})
-      store.add(tile, module, kPbsBytes);
-  ManagerOptions options;
-  options.pipelined = pipelined;
-  ReconfigurationManager manager(soc, store, options);
-
-  Completion d1(soc.kernel());
-  Completion d2(soc.kernel());
-  manager.ensure_module(3, "acc_a", d1);
-  manager.ensure_module(4, "acc_c", d2);
-  soc.kernel().run();
+  StoreRig rig(pipelined ? ManagerOptions{} : one_credit_options());
+  Completion d1(rig.soc_.kernel());
+  Completion d2(rig.soc_.kernel());
+  rig.load_two_tiles(d1, d2);
   EXPECT_TRUE(d1.ok());
   EXPECT_TRUE(d2.ok());
-  EXPECT_EQ(manager.stats().pipelined_fetches, pipelined ? 2u : 0u);
-  return soc.kernel().now();
+  EXPECT_EQ(rig.manager_.stats().pipelined_fetches, 2u);
+  return rig.soc_.kernel().now();
 }
 
 TEST(StorePipelineTest, PipelinedModeBeatsSerialOnConcurrentRequests) {
+  // "Serial" is the one-staging-credit baseline: same stages, no overlap.
   const sim::Time serial = run_two_tile_workload(false);
   const sim::Time pipelined = run_two_tile_workload(true);
   EXPECT_LT(pipelined, serial);
 }
 
-TEST_F(StoreFixture, NextRequestFetchStartsBeforePreviousProgramEnds) {
+TEST(StorePipelineTest, StagingCreditsFollowTheDfxcSlots) {
+  // A 1-slot DFXC nacks a second fetch while its staging buffer is full.
+  // The manager must not issue one: with one credit per slot, two
+  // concurrent requests on a fault-free SoC see no retries at all.
+  soc::SocOptions soc_options;
+  soc_options.dfxc_staging_slots = 1;
+  StoreRig rig({}, soc_options);
+  Completion d1(rig.soc_.kernel());
+  Completion d2(rig.soc_.kernel());
+  rig.load_two_tiles(d1, d2);
+  EXPECT_EQ(d1.status(), RequestStatus::kOk);
+  EXPECT_EQ(d2.status(), RequestStatus::kOk);
+  EXPECT_EQ(rig.manager_.stats().dropped_trigger_retries, 0u);
+  EXPECT_EQ(rig.manager_.stats().watchdog_fires, 0u);
+  EXPECT_EQ(rig.manager_.health().stats().failures, 0u);
+  EXPECT_EQ(rig.manager_.health().consecutive_failures(3), 0);
+  EXPECT_EQ(rig.manager_.health().consecutive_failures(4), 0);
+}
+
+/// Per tile track of a traced two-tile load: when its first fetch span
+/// opens and when its last ICAP span closes.
+struct StageSpans {
+  std::map<std::uint32_t, std::uint64_t> fetch_begin;
+  std::map<std::uint32_t, std::uint64_t> icap_end;
+};
+
+StageSpans trace_two_tile_load(StoreRig& rig) {
   trace::TraceConfig config;
   config.categories = static_cast<std::uint32_t>(trace::Category::kRuntime);
   trace::TraceSession::instance().start(config);
-
-  Completion d1(soc_.kernel());
-  Completion d2(soc_.kernel());
-  manager_.ensure_module(3, "acc_a", d1);
-  manager_.ensure_module(4, "acc_c", d2);
-  soc_.kernel().run();
-
+  Completion d1(rig.soc_.kernel());
+  Completion d2(rig.soc_.kernel());
+  rig.load_two_tiles(d1, d2);
   const trace::TraceReport report = trace::TraceSession::instance().stop();
-  ASSERT_TRUE(d1.ok());
-  ASSERT_TRUE(d2.ok());
+  EXPECT_TRUE(d1.ok());
+  EXPECT_TRUE(d2.ok());
 
-  // Per tile track: when its fetch span opens and its ICAP span closes.
-  std::map<std::uint32_t, std::uint64_t> fetch_begin;
-  std::map<std::uint32_t, std::uint64_t> icap_end;
+  StageSpans spans;
   for (const trace::TraceEvent& event : report.events) {
     if (event.clock != trace::ClockDomain::kSim) continue;
     if (event.name == "fetch" && event.phase == trace::Phase::kBegin &&
-        fetch_begin.find(event.track) == fetch_begin.end()) {
-      fetch_begin[event.track] = event.timestamp;
+        spans.fetch_begin.find(event.track) == spans.fetch_begin.end()) {
+      spans.fetch_begin[event.track] = event.timestamp;
     }
     if (event.name == "icap" && event.phase == trace::Phase::kEnd) {
-      icap_end[event.track] = event.timestamp;
+      spans.icap_end[event.track] = event.timestamp;
     }
   }
-  ASSERT_EQ(fetch_begin.size(), 2u);
-  ASSERT_EQ(icap_end.size(), 2u);
+  EXPECT_EQ(spans.fetch_begin.size(), 2u);
+  EXPECT_EQ(spans.icap_end.size(), 2u);
+  return spans;
+}
 
-  // Request N = the one whose ICAP finishes first; request N+1 = the
-  // other. The pipeline must have started N+1's DMA fetch strictly
-  // before N's programming completed.
-  const auto first_done = std::min_element(
-      icap_end.begin(), icap_end.end(),
+/// Request N = the one whose ICAP finishes first: its track and end time.
+std::pair<std::uint32_t, std::uint64_t> first_program_end(
+    const StageSpans& spans) {
+  const auto first = std::min_element(
+      spans.icap_end.begin(), spans.icap_end.end(),
       [](const auto& a, const auto& b) { return a.second < b.second; });
-  for (const auto& [track, begin] : fetch_begin) {
-    if (track == first_done->first) continue;
-    EXPECT_LT(begin, first_done->second)
+  return *first;
+}
+
+TEST_F(StoreFixture, NextRequestFetchStartsBeforePreviousProgramEnds) {
+  // The pipeline must have started request N+1's DMA fetch strictly
+  // before request N's programming completed.
+  const StageSpans spans = trace_two_tile_load(*this);
+  ASSERT_EQ(spans.icap_end.size(), 2u);
+  const auto [first_track, first_end] = first_program_end(spans);
+  for (const auto& [track, begin] : spans.fetch_begin) {
+    if (track == first_track) continue;
+    EXPECT_LT(begin, first_end)
         << "tile track " << track
         << " did not overlap its fetch with the in-flight program stage";
   }
   EXPECT_EQ(manager_.stats().pipelined_fetches, 2u);
+
+  // With a single staging credit nothing overlaps: request N+1's fetch
+  // waits for request N's program stage to end.
+  StoreRig one_credit(one_credit_options());
+  const StageSpans serial = trace_two_tile_load(one_credit);
+  ASSERT_EQ(serial.icap_end.size(), 2u);
+  const auto [serial_track, serial_end] = first_program_end(serial);
+  for (const auto& [track, begin] : serial.fetch_begin) {
+    if (track == serial_track) continue;
+    EXPECT_GE(begin, serial_end)
+        << "tile track " << track
+        << " fetched while another request held the only staging credit";
+  }
 }
 
 // ----------------------------------------------------- fault isolation
@@ -160,9 +212,7 @@ TEST_F(StoreFixture, FaultInjectedMidFetchLeavesInFlightProgramUntouched) {
 
   Completion d1(soc_.kernel());
   Completion d2(soc_.kernel());
-  manager_.ensure_module(3, "acc_a", d1);
-  manager_.ensure_module(4, "acc_c", d2);
-  soc_.kernel().run();
+  load_two_tiles(d1, d2);
 
   EXPECT_TRUE(d1.ok());
   EXPECT_TRUE(d2.ok());

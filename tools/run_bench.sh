@@ -11,12 +11,13 @@
 #                   `tasks_per_s_at_8` must clear an absolute floor on a
 #                   >= 4-thread host, and the warm/cold flow-cache
 #                   comparison with `hardware_threads`).
-#   --store-compare serial-vs-pipelined bitstream store: a repeated
+#   --store-compare no-overlap-vs-pipelined bitstream store: a repeated
 #                   reconfiguration workload on one DFXC, comparing total
-#                   simulated cycles for the combined transfer, the split
-#                   fetch/program flow and the LRU cache on top; emits
-#                   BENCH_store.json and fails if the pipelined flow is
-#                   not faster.
+#                   simulated cycles for the one-staging-credit baseline
+#                   (reported as "serial": fetch and program never
+#                   overlap), the pipelined fetch/program flow and the
+#                   LRU cache on top; emits BENCH_store.json and fails
+#                   if the pipelined flow is not faster.
 #
 # It also runs the bench_fleet soak (sharded DPR fleet under injected
 # stalls/bursts), which emits BENCH_fleet.json (exact p50/p99/p999
