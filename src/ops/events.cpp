@@ -101,7 +101,17 @@ std::string sse_frame(const SseEvent& event) {
   std::string out;
   out += "id: " + std::to_string(event.id) + "\n";
   if (!event.event.empty()) out += "event: " + event.event + "\n";
-  out += "data: " + event.data + "\n\n";
+  // One data line per payload line; the parser joins them back with \n.
+  std::size_t pos = 0;
+  for (;;) {
+    const std::size_t eol = event.data.find('\n', pos);
+    out += "data: ";
+    out.append(event.data, pos, eol - pos);
+    out += '\n';
+    if (eol == std::string::npos) break;
+    pos = eol + 1;
+  }
+  out += '\n';
   return out;
 }
 
@@ -117,6 +127,7 @@ bool SseParser::next(SseEvent* out) {
     buffer_.erase(0, end + 2);
     *out = SseEvent{};
     bool has_field = false;
+    bool has_data = false;
     std::size_t pos = 0;
     while (pos < block.size()) {
       std::size_t eol = block.find('\n', pos);
@@ -130,8 +141,9 @@ bool SseParser::next(SseEvent* out) {
         out->event = line.substr(7);
         has_field = true;
       } else if (line.rfind("data: ", 0) == 0) {
-        out->data = line.substr(6);
-        has_field = true;
+        if (has_data) out->data += '\n';
+        out->data += line.substr(6);
+        has_data = has_field = true;
       }
     }
     // Blocks with no fields (": comment" handshakes, keep-alives) are

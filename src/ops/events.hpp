@@ -25,7 +25,7 @@ namespace presp::ops {
 
 struct SseEvent {
   std::string event;  // SSE "event:" field ("metrics", "breaker", "lint")
-  std::string data;   // single-line payload (JSON)
+  std::string data;   // payload (JSON; may span lines)
   std::uint64_t id = 0;
 };
 
@@ -101,7 +101,9 @@ class SseHub {
 };
 
 /// Renders one event in SSE wire framing:
-///   id: <id>\nevent: <event>\ndata: <data>\n\n
+///   id: <id>\nevent: <event>\ndata: <line 1>\n...data: <line n>\n\n
+/// A multi-line payload takes one data line per line, as the SSE spec
+/// requires; SseParser joins them back with \n.
 std::string sse_frame(const SseEvent& event);
 
 /// Incremental parser for an SSE byte stream (test/bench client side).

@@ -4,6 +4,7 @@
 #include "lint/diagnostic.hpp"
 #include "lint/rules.hpp"
 #include "util/error.hpp"
+#include "util/json.hpp"
 
 namespace presp::ops {
 
@@ -64,6 +65,15 @@ int LintWatcher::poll_once() {
     ++relinted;
   }
   return relinted;
+}
+
+std::string report_json(const LintWatcher::Report& report) {
+  std::string out = "{\"path\":";
+  json::append_string(out, report.path);
+  out += ",\"errors\":" + std::to_string(report.errors);
+  out += ",\"warnings\":" + std::to_string(report.warnings);
+  out += ",\"findings\":" + report.findings_json + "}";
+  return out;
 }
 
 }  // namespace presp::ops

@@ -61,4 +61,10 @@ class LintWatcher {
   std::uint64_t reports_ = 0;
 };
 
+/// One report as a JSON record, {"path":...,"errors":...,"warnings":...,
+/// "findings":<findings_json>}. The embedded findings span several
+/// lines, so the record does too; only its first line starts with
+/// {"path":.
+std::string report_json(const LintWatcher::Report& report);
+
 }  // namespace presp::ops

@@ -37,28 +37,6 @@ bool parse_int(const std::string& text, int* out) {
   }
 }
 
-void json_escape_into(std::string& out, const std::string& text) {
-  for (const char c : text) {
-    if (c == '"' || c == '\\') {
-      out += '\\';
-      out += c;
-    } else if (c == '\n') {
-      out += "\\n";
-    } else {
-      out += c;
-    }
-  }
-}
-
-std::string report_json(const LintWatcher::Report& report) {
-  std::string out = "{\"path\":\"";
-  json_escape_into(out, report.path);
-  out += "\",\"errors\":" + std::to_string(report.errors);
-  out += ",\"warnings\":" + std::to_string(report.warnings);
-  out += ",\"findings\":" + report.findings_json + "}";
-  return out;
-}
-
 }  // namespace
 
 int run_watch_cli(const std::vector<std::string>& args,

@@ -20,7 +20,10 @@ namespace presp::ops {
 ///                     tests and the tier-1 ops stage use this
 ///   --ops-port <n>    serve /events etc. on 127.0.0.1:<n> (0 =
 ///                     ephemeral; the bound port is printed)
-///   --watch-log <f>   append one JSON line per lint report to <f>
+///   --watch-log <f>   append one report_json() record per lint report
+///                     to <f>; records are multi-line (the embedded
+///                     findings are pretty-printed), each starts a line
+///                     with {"path":
 ///   <config>...       .esp_config files to watch
 ///
 /// Watch mode is a monitor: the exit code is 0 on a clean run (even if

@@ -13,6 +13,11 @@ namespace presp::wami {
 
 namespace {
 
+/// Worker processes draining the between-frame scrub queue (sim-time
+/// concurrency via runtime::RequestPool); any count yields the same
+/// repairs.
+constexpr int kScrubWorkers = 4;
+
 /// Scheduled node: kernel `k` in Lucas-Kanade iteration `iter`. The
 /// front-end (1, 2) runs in iteration 0 only; the LK stages (3..11) run
 /// every iteration; change detection (12) runs after the last iteration.
@@ -533,8 +538,7 @@ WamiAppResult WamiApp::run() {
       // Pool-backed drain: all partitions scrub concurrently in sim-time
       // (the PRC semaphore still serializes the ICAP readbacks) instead
       // of one full spawn-and-run round trip per tile.
-      runtime::RequestPool scrubbers(kernel, *manager_,
-                                     options_.fault.scrub_workers);
+      runtime::RequestPool scrubbers(kernel, *manager_, kScrubWorkers);
       for (const int tile : reconf_indices) {
         runtime::PoolRequest request;
         request.kind = runtime::PoolRequest::Kind::kScrub;

@@ -47,10 +47,6 @@ struct WamiFaultOptions {
   /// Readback-scrub every partition between frames (repairs SEUs that
   /// have not yet been caught by a start-time check).
   bool scrub_between_frames = false;
-  /// Worker processes draining the between-frame scrub queue (sim-time
-  /// concurrency via runtime::RequestPool; 1 reproduces the old serial
-  /// drain's contention, any value yields the same repairs).
-  int scrub_workers = 4;
   /// Re-admit quarantined tiles between frames (soak benches re-arm
   /// faults each frame; rehabilitation keeps every tile in play).
   bool rehabilitate_between_frames = false;

@@ -133,6 +133,16 @@ TEST(ReporterTest, JsonParserRejectsMalformedInput) {
   EXPECT_THROW(lint::parse_json(""), ConfigError);
 }
 
+TEST(ReporterTest, JsonParserRejectsBadLineNumbers) {
+  // "-" alone, a line past INT_MAX and a fraction are all ConfigErrors.
+  for (const char* line : {"-", "2147483648", "12.5"}) {
+    const std::string text =
+        std::string(R"({"diagnostics": [{"rule": "a.b", "line": )") + line +
+        "}]}";
+    EXPECT_THROW(lint::parse_json(text), ConfigError) << line;
+  }
+}
+
 // ------------------------------------------------------------ catalog
 
 TEST(RuleRegistryTest, CatalogCoversEveryLayer) {
@@ -1233,6 +1243,40 @@ TEST(FloorplanArtifactTest, MalformedJsonThrows) {
   // get a default), but unknown fields must be rejected.
   EXPECT_THROW(
       floorplan::parse_floorplan_json("{\"bogus\": 1}"), ConfigError);
+}
+
+// Saved floorplans are untrusted presp-lint --floorplan input: every
+// coordinate and resource count must be an integer that fits its field.
+std::string floorplan_with_pblock_value(const std::string& value) {
+  return R"({"partitions": [{"name": "RT_1", "pblock": {"col_lo": )" +
+         value + "}}]}";
+}
+
+TEST(FloorplanArtifactTest, OutOfRangePblockCoordinateThrows) {
+  for (const char* value :
+       {"2147483648", "-2147483649", "1e300", "99999999999999999999"}) {
+    EXPECT_THROW(
+        floorplan::parse_floorplan_json(floorplan_with_pblock_value(value)),
+        ConfigError)
+        << value;
+  }
+  EXPECT_THROW(floorplan::parse_floorplan_json(
+                   R"({"static_capacity": {"luts": 1e19}})"),
+               ConfigError);
+}
+
+TEST(FloorplanArtifactTest, NonIntegerPblockCoordinateThrows) {
+  for (const char* value : {"1.5", "-0.25", "2e1", "true", "\"3\""}) {
+    EXPECT_THROW(
+        floorplan::parse_floorplan_json(floorplan_with_pblock_value(value)),
+        ConfigError)
+        << value;
+  }
+  // In-range integers still parse, negative ones included.
+  EXPECT_EQ(floorplan::parse_floorplan_json(floorplan_with_pblock_value("-7"))
+                .plan.pblocks.at(0)
+                .col_lo,
+            -7);
 }
 
 TEST(FloorplanArtifactLintTest, PlannedArtifactLintsClean) {

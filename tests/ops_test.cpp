@@ -16,10 +16,12 @@
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
+#include <sstream>
 #include <string>
 #include <thread>
 #include <vector>
 
+#include "lint/diagnostic.hpp"
 #include "ops/events.hpp"
 #include "ops/http.hpp"
 #include "ops/options.hpp"
@@ -191,6 +193,38 @@ TEST(SseWireTest, FrameParserRoundTripSkipsComments) {
   EXPECT_EQ(events[1].data, "{\"errors\":1}");
 }
 
+TEST(SseWireTest, MultiLineLintReportArrivesWhole) {
+  LintWatcher::Report report;
+  report.path = "a.esp_config";
+  report.errors = 1;
+  report.findings_json = lint::render_json(
+      {{"ops.port", lint::Severity::kError, {"a.esp_config", 3, "ops"},
+        "port = 99999: is outside [0, 65535]", ""}});
+  const std::string data = report_json(report);
+  ASSERT_NE(data.find('\n'), std::string::npos);
+
+  const std::string wire = sse_frame({"lint", data, 7});
+  // Every wire line is a field: a bare payload line would read as an
+  // unknown field and be dropped by any SSE client.
+  std::istringstream lines(wire);
+  for (std::string line; std::getline(lines, line);) {
+    if (line.empty()) continue;
+    EXPECT_TRUE(line.rfind("id: ", 0) == 0 ||
+                line.rfind("event: ", 0) == 0 ||
+                line.rfind("data: ", 0) == 0)
+        << line;
+  }
+
+  SseParser parser;
+  parser.feed(wire.data(), wire.size());
+  SseEvent out;
+  ASSERT_TRUE(parser.next(&out));
+  EXPECT_EQ(out.id, 7u);
+  EXPECT_EQ(out.event, "lint");
+  EXPECT_EQ(out.data, data);
+  EXPECT_EQ(lint::parse_json(report.findings_json).size(), 1u);
+}
+
 // --------------------------------------------- snapshots under mutation
 
 // The endpoint contract: readers take snapshots while writer threads
@@ -202,13 +236,15 @@ TEST(SnapshotUnderMutationTest, MetricsRegistrySnapshotsStayConsistent) {
   constexpr int kWriters = 4;
   constexpr int kIncrements = 5'000;
   std::atomic<bool> stop{false};
+  // Registered before any thread starts, so the reader's first pass
+  // already sees every family.
+  trace::Counter& counter = registry.counter("ops.test.counter");
+  trace::Gauge& gauge = registry.gauge("ops.test.depth");
+  trace::Histogram& histogram = registry.histogram("ops.test.lat");
 
   std::vector<std::thread> writers;
   for (int w = 0; w < kWriters; ++w) {
-    writers.emplace_back([&registry, w] {
-      trace::Counter& counter = registry.counter("ops.test.counter");
-      trace::Gauge& gauge = registry.gauge("ops.test.depth");
-      trace::Histogram& histogram = registry.histogram("ops.test.lat");
+    writers.emplace_back([&counter, &gauge, &histogram, w] {
       for (int i = 0; i < kIncrements; ++i) {
         counter.add();
         gauge.set(static_cast<double>(i % 32));

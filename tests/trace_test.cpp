@@ -234,6 +234,39 @@ TEST(ChromeTraceTest, SummaryComputesSelfTimeAndExtents) {
   EXPECT_NE(rendered.find("dropped events: 0"), std::string::npos);
 }
 
+TEST(ChromeTraceTest, EscapedNamesRoundTrip) {
+  TraceReport report = golden_report();
+  const std::string name = "quote\" back\\ tab\t cr\r nl\n bell\x07";
+  report.events[4].name = name;
+  const std::string json = trace::chrome_trace_json(report);
+  EXPECT_NE(json.find(R"("quote\" back\\ tab\t cr\r nl\n bell\u0007")"),
+            std::string::npos);
+  EXPECT_EQ(trace::parse_chrome_trace(json).events[4].name, name);
+}
+
+// A trace file is untrusted input: presp-trace must reject a broken one
+// with a ConfigError (exit 1), never abort or overflow the stack.
+TEST(ChromeTraceTest, MalformedUnicodeEscapeIsAConfigError) {
+  const std::string text =
+      R"({"traceEvents":[{"ph":"i","pid":1,"tid":0,"ts":1.000,)"
+      R"("name":"x\uZZZZ","cat":"flow","s":"t"}]})";
+  EXPECT_THROW(trace::parse_chrome_trace(text), ConfigError);
+}
+
+TEST(ChromeTraceTest, DeeplyNestedIgnoredFieldIsAConfigError) {
+  constexpr std::size_t kDepth = 300'000;
+  const std::string text = R"({"traceEvents":[],"ignored":)" +
+                           std::string(kDepth, '[') +
+                           std::string(kDepth, ']') + "}";
+  EXPECT_THROW(trace::parse_chrome_trace(text), ConfigError);
+}
+
+TEST(ChromeTraceTest, OutOfRangePidIsAConfigError) {
+  EXPECT_THROW(trace::parse_chrome_trace(
+                   R"({"traceEvents":[{"ph":"i","pid":4294967296}]})"),
+               ConfigError);
+}
+
 // ------------------------------------------------------ determinism
 
 /// Sim-domain events of a traced WAMI run. Host-domain noise (exec pool

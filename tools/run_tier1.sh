@@ -10,7 +10,9 @@
 #              (non-zero exit, config.unknown-key finding)
 #   trace      trace smoke: presp-flow runs a shipped example with
 #              --trace and the Chrome JSON must summarize through
-#              presp-trace with zero dropped events
+#              presp-trace with zero dropped events; two malformed
+#              traces (a bad \u escape, 300 000 nested arrays) must
+#              make presp-trace exit 1 with a parse error
 #   workflows  .github/workflows/*.yml parse (actionlint when available,
 #              else a PyYAML structural check) and ci.yml's jobs must
 #              map 1:1 onto this script's stage names
@@ -125,7 +127,31 @@ stage_trace() {
     return 1
   }
   "$BUILD_DIR/tools/presp-trace" inspect "$TRACE_OUT" >/dev/null
-  echo "tier-1 trace: summarize + inspect clean, zero drops"
+  # Negative smoke: a malformed \u escape and an ignored field nested
+  # 300 000 deep must be rejected with a parse error (exit 1), not
+  # abort (134) or overflow the stack (139).
+  BAD_ESCAPE="$BUILD_DIR/tier1_trace_bad_escape.json"
+  BAD_DEPTH="$BUILD_DIR/tier1_trace_deep.json"
+  printf '{"traceEvents":[{"ph":"i","pid":1,"tid":0,"ts":1.000,%s}]}\n' \
+      '"name":"x\uZZZZ","cat":"flow","s":"t"' > "$BAD_ESCAPE"
+  awk 'BEGIN { printf "{\"traceEvents\":[],\"ignored\":";
+               for (i = 0; i < 300000; i++) printf "[";
+               for (i = 0; i < 300000; i++) printf "]";
+               print "}" }' > "$BAD_DEPTH"
+  for bad in "$BAD_ESCAPE" "$BAD_DEPTH"; do
+    bad_status=0
+    bad_out=$("$BUILD_DIR/tools/presp-trace" summarize "$bad" 2>&1) ||
+        bad_status=$?
+    if [ "$bad_status" -ne 1 ] ||
+        ! printf '%s\n' "$bad_out" | grep -q 'JSON parse error'; then
+      echo "$bad_out"
+      echo "tier-1: presp-trace exited $bad_status on $bad; want 1" \
+          "with a parse error" >&2
+      return 1
+    fi
+  done
+  echo "tier-1 trace: summarize + inspect clean, zero drops;" \
+      "malformed-trace smoke rejected"
 }
 
 stage_workflows() {
