@@ -20,6 +20,7 @@
 // for the bench workflow's required-field gate. tools/run_tier1.sh's
 // `defrag` stage runs a short configuration of this soak.
 #include <algorithm>
+#include <chrono>
 #include <cstdio>
 #include <cstdlib>
 #include <fstream>
@@ -228,6 +229,7 @@ long long percentile(const std::vector<long long>& sorted, double p) {
 }  // namespace
 
 int main(int argc, char** argv) {
+  const auto started = std::chrono::steady_clock::now();
   // bench_defrag [first_seed [num_seeds [quanta]]] [--json out.json]
   std::string json_path = "BENCH_defrag.json";
   std::vector<std::string> positional;
@@ -350,7 +352,7 @@ int main(int argc, char** argv) {
        << ",\n  \"bit_identical\": " << (all_identical ? "true" : "false")
        << ",\n  \"frag_improved\": " << (all_improved ? "true" : "false")
        << ",\n  \"deterministic\": " << (deterministic ? "true" : "false")
-       << "\n}\n";
+       << ",\n  \"host\": " << bench::host_json(started) << "\n}\n";
   std::printf("bench_defrag: wrote %s\n", json_path.c_str());
 
   std::printf("acceptance: frag strictly improved: %s  workload "

@@ -231,6 +231,7 @@ long long percentile(const std::vector<long long>& sorted, double p) {
 }  // namespace
 
 int main(int argc, char** argv) {
+  const auto started = std::chrono::steady_clock::now();
   // bench_fleet [first_seed [num_seeds [quanta]]] [--json out.json]
   //             [--repack]         (background defragmentation live)
   //             [--ops-port <n>]   (0 = ephemeral; serves /metrics,
@@ -511,7 +512,7 @@ int main(int argc, char** argv) {
        << ",\n  \"ops_sse_events\": " << ops_stats.sse_published
        << ",\n  \"ops_sse_received\": " << sse_received
        << ",\n  \"ops_sse_dropped\": " << ops_stats.sse_dropped
-       << "\n}\n";
+       << ",\n  \"host\": " << bench::host_json(started) << "\n}\n";
   std::printf("bench_fleet: wrote %s\n", json_path.c_str());
 
   const bool stalled = totals.stall_quanta > 0;

@@ -4,6 +4,9 @@
 // same numbers.
 #pragma once
 
+#include <sys/resource.h>
+
+#include <chrono>
 #include <cstdio>
 #include <string>
 
@@ -24,6 +27,28 @@ inline void header(const std::string& title, const std::string& paper_ref) {
 inline std::string vs_paper(double measured, double paper, int precision = 0) {
   return presp::TextTable::num(measured, precision) + " (" +
          presp::TextTable::num(paper, precision) + ")";
+}
+
+/// Host cost of this process so far as a one-line JSON object: wall
+/// seconds since `started`, user and sys CPU seconds and peak RSS in MiB
+/// (getrusage RUSAGE_SELF).
+inline std::string host_json(std::chrono::steady_clock::time_point started) {
+  rusage ru{};
+  getrusage(RUSAGE_SELF, &ru);
+  const auto seconds = [](const timeval& tv) {
+    return static_cast<double>(tv.tv_sec) +
+           static_cast<double>(tv.tv_usec) / 1e6;
+  };
+  const double wall = std::chrono::duration<double>(
+                          std::chrono::steady_clock::now() - started)
+                          .count();
+  char buf[160];
+  std::snprintf(buf, sizeof(buf),
+                "{\"wall_s\": %.6f, \"user_s\": %.6f, \"sys_s\": %.6f, "
+                "\"maxrss_mib\": %.3f}",
+                wall, seconds(ru.ru_utime), seconds(ru.ru_stime),
+                static_cast<double>(ru.ru_maxrss) / 1024.0);  // KiB on Linux
+  return buf;
 }
 
 }  // namespace presp::bench

@@ -80,11 +80,14 @@ const BitstreamImage& BitstreamStore::add(
   }
 
   // Eager image (legacy path, and every blanking image): copy into its
-  // own DRAM region now, resident forever.
+  // own DRAM region now, resident forever. An image without a payload
+  // only needs its address.
   const std::string region =
       "pbs/" + std::to_string(tile) + "/" +
       (module.empty() ? std::string("<blank>") : module);
-  const std::uint64_t addr = memory_.allocate(region, bytes);
+  const std::uint64_t addr = payload.empty()
+                                 ? memory_.reserve(region, bytes)
+                                 : memory_.allocate(region, bytes);
   if (!payload.empty()) {
     auto dst = memory_.bytes(addr, payload.size());
     std::copy(payload.begin(), payload.end(), dst.begin());

@@ -14,36 +14,45 @@ Kernel::~Kernel() {
   }
 }
 
-std::uint64_t Kernel::schedule(Time delay, std::function<void()> fn) {
-  pool_.push_back(Event{now_ + delay, seq_++, next_id_++, std::move(fn)});
-  queue_.push(&pool_.back());
+Kernel::Event& Kernel::push_event(Time delay) {
+  Event* ev = nullptr;
+  if (free_.empty()) {
+    ev = &pool_.emplace_back();
+  } else {
+    ev = free_.back();
+    free_.pop_back();
+  }
+  *ev = Event{now_ + delay, seq_++, next_id_++, nullptr};
+  queue_.push(ev);
   ++live_events_;
-  return pool_.back().id;
+  return *ev;
+}
+
+std::uint64_t Kernel::schedule(Time delay, std::function<void()> fn) {
+  Event& ev = push_event(delay);
+  ev.fn = std::move(fn);
+  return ev.id;
 }
 
 std::uint64_t Kernel::schedule_resume(Time delay, std::coroutine_handle<> co) {
-  pool_.push_back(Event{now_ + delay, seq_++, next_id_++, nullptr, co});
-  queue_.push(&pool_.back());
-  ++live_events_;
-  return pool_.back().id;
+  Event& ev = push_event(delay);
+  ev.co = co;
+  return ev.id;
 }
 
 bool Kernel::cancel(std::uint64_t event_id) {
-  // Events are pooled in a deque in id order starting at 1; the pool is
-  // only compacted between runs, so a linear scan from the back finds live
-  // events quickly (cancellations target recently scheduled timeouts).
-  for (auto it = pool_.rbegin(); it != pool_.rend(); ++it) {
-    if (it->id == event_id) {
-      if (it->cancelled || (!it->fn && !it->co)) return false;
-      if (it->co) {
-        it->co.destroy();
-        it->co = nullptr;
-      }
-      it->cancelled = true;
-      --live_events_;
-      return true;
+  // Ids are unique, and the pool holds only the queued events plus free
+  // slots, so a scan is short.
+  for (Event& ev : pool_) {
+    if (ev.id != event_id) continue;
+    if (ev.popped || ev.cancelled) return false;
+    if (ev.co) {
+      ev.co.destroy();
+      ev.co = nullptr;
     }
-    if (it->id < event_id) break;
+    ev.cancelled = true;
+    --live_events_;
+    return true;
   }
   return false;
 }
@@ -51,6 +60,10 @@ bool Kernel::cancel(std::uint64_t event_id) {
 void Kernel::pop_and_run() {
   Event* ev = queue_.top();
   queue_.pop();
+  // Nothing below touches *ev after taking its callback or coroutine, so
+  // the slot may be reused by the events this one schedules.
+  ev->popped = true;
+  free_.push_back(ev);
   if (!ev->cancelled) {
     now_ = ev->at;
     --live_events_;
@@ -84,9 +97,6 @@ void Kernel::pop_and_run() {
     // been armed.
     ev->fn = nullptr;
   }
-  // Compact the pool when the queue fully drains to bound memory across
-  // long simulations.
-  if (queue_.empty()) pool_.clear();
 }
 
 Time Kernel::run() {

@@ -74,6 +74,7 @@ class Kernel {
     std::function<void()> fn;
     std::coroutine_handle<> co{};  // exclusive with fn
     bool cancelled = false;
+    bool popped = false;  // left the queue; the slot is on free_
   };
   struct Order {
     bool operator()(const Event* a, const Event* b) const {
@@ -82,6 +83,8 @@ class Kernel {
     }
   };
 
+  /// Queues a fresh event in a recycled (or new) pool slot.
+  Event& push_event(Time delay);
   void pop_and_run();
 
   Time now_ = 0;
@@ -89,7 +92,11 @@ class Kernel {
   std::uint64_t next_id_ = 1;
   std::uint64_t executed_ = 0;
   std::uint64_t live_events_ = 0;
+  // Event slots. A popped slot is recycled through free_, so the pool
+  // holds at most the peak number of queued events even when the queue
+  // never drains (a fleet shard always has a watchdog timer queued).
   std::deque<Event> pool_;
+  std::vector<Event*> free_;
   std::priority_queue<Event*, std::vector<Event*>, Order> queue_;
 };
 

@@ -1,20 +1,36 @@
 #include "soc/memory.hpp"
 
+#include <cstring>
+#include <new>
+
 namespace presp::soc {
 
-MainMemory::MainMemory(MemoryOptions options)
-    : options_(options), data_(options.size_bytes, 0) {
+MainMemory::MainMemory(MemoryOptions options) : options_(options) {
   PRESP_REQUIRE(options_.size_bytes >= 1024, "memory too small");
   PRESP_REQUIRE(options_.words_per_cycle >= 1 && options_.access_latency >= 0,
                 "bad memory timing");
+  // calloc, not a zeroed vector: above the mmap threshold the kernel
+  // hands out zero pages on first touch, so nothing is memset here.
+  data_.reset(
+      static_cast<std::uint8_t*>(std::calloc(options_.size_bytes, 1)));
+  if (!data_) throw std::bad_alloc();
 }
 
 std::uint64_t MainMemory::allocate(const std::string& name,
                                    std::size_t bytes) {
+  const std::uint64_t base = reserve(name, bytes);
+  // The range is already zero; writing it faults its pages in now, during
+  // set-up, rather than on the region's first DMA inside a timed run.
+  std::memset(data_.get() + base, 0, bytes);
+  return base;
+}
+
+std::uint64_t MainMemory::reserve(const std::string& name,
+                                  std::size_t bytes) {
   PRESP_REQUIRE(regions_.find(name) == regions_.end(),
                 "region '" + name + "' already allocated");
   const std::uint64_t base = (next_free_ + 63) & ~std::uint64_t{63};
-  if (base + bytes > data_.size())
+  if (base > size() || bytes > size() - base)
     throw InvalidArgument("out of modeled DRAM allocating '" + name + "'");
   next_free_ = base + bytes;
   regions_[name] = {base, bytes};
@@ -35,14 +51,16 @@ std::size_t MainMemory::region_size(const std::string& name) const {
 
 std::span<std::uint8_t> MainMemory::bytes(std::uint64_t addr,
                                           std::size_t len) {
-  PRESP_REQUIRE(addr + len <= data_.size(), "memory access out of range");
-  return {data_.data() + addr, len};
+  PRESP_REQUIRE(addr <= size() && len <= size() - addr,
+                "memory access out of range");
+  return {data_.get() + addr, len};
 }
 
 std::span<const std::uint8_t> MainMemory::bytes(std::uint64_t addr,
                                                 std::size_t len) const {
-  PRESP_REQUIRE(addr + len <= data_.size(), "memory access out of range");
-  return {data_.data() + addr, len};
+  PRESP_REQUIRE(addr <= size() && len <= size() - addr,
+                "memory access out of range");
+  return {data_.get() + addr, len};
 }
 
 void MainMemory::write_u32(std::uint64_t addr, std::uint32_t value) {

@@ -8,14 +8,20 @@
 // with attached identity metadata — the DFX controller resolves the module
 // a bitstream configures from the blob it was pointed at, standing in for
 // the fabric decoding the configuration frames themselves.
+//
+// The backing store is one calloc'd buffer: at the modeled size it comes
+// straight from mmap as lazy zero pages, so building a SoC touches none
+// of it. allocate() zero-fills its own region, which faults that
+// region's pages in at set-up instead of on its first DMA; reserve()
+// claims a region the model only addresses and leaves its pages alone.
 #pragma once
 
 #include <cstdint>
+#include <cstdlib>
 #include <map>
-#include <optional>
+#include <memory>
 #include <span>
 #include <string>
-#include <vector>
 
 #include "util/error.hpp"
 
@@ -46,10 +52,14 @@ class MainMemory {
   explicit MainMemory(MemoryOptions options = {});
 
   const MemoryOptions& options() const { return options_; }
-  std::size_t size() const { return data_.size(); }
+  std::size_t size() const { return options_.size_bytes; }
 
-  /// Bump allocation of a named region; 64-byte aligned.
+  /// Bump allocation of a named, zero-filled region; 64-byte aligned.
   std::uint64_t allocate(const std::string& name, std::size_t bytes);
+  /// As allocate(), but the region's pages stay unfaulted (they still
+  /// read as zero): for regions no data moves through, such as a
+  /// bitstream image registered without a payload.
+  std::uint64_t reserve(const std::string& name, std::size_t bytes);
   /// Base address of a previously allocated region.
   std::uint64_t region(const std::string& name) const;
   std::size_t region_size(const std::string& name) const;
@@ -77,8 +87,12 @@ class MainMemory {
   long long stream_cycles(long long words) const;
 
  private:
+  struct FreeDeleter {
+    void operator()(std::uint8_t* p) const { std::free(p); }
+  };
+
   MemoryOptions options_;
-  std::vector<std::uint8_t> data_;
+  std::unique_ptr<std::uint8_t[], FreeDeleter> data_;
   std::uint64_t next_free_ = 64;
   std::map<std::string, std::pair<std::uint64_t, std::size_t>> regions_;
   std::map<std::uint64_t, BitstreamBlob> blobs_;

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cstdio>
 #include <fstream>
+#include <limits>
 #include <sstream>
 
 #include "util/error.hpp"
@@ -119,7 +120,11 @@ void parse_event(json::Reader& reader, ParsedTrace& out) {
     else if (key == "args") {
       reader.object([&](const std::string& arg_key) {
         if (arg_key == "name") arg_name = reader.string();
-        else if (arg_key == "value") event.value = reader.number();
+        // A NaN or infinite counter value is written as null.
+        else if (arg_key == "value")
+          event.value = reader.consume_null()
+                            ? std::numeric_limits<double>::quiet_NaN()
+                            : reader.number();
         else reader.skip_value();
       });
     } else {

@@ -160,6 +160,14 @@ std::string prometheus_name(const std::string& name) {
   return out;
 }
 
+/// Prometheus sample value: the text format spells the non-finite values
+/// NaN, +Inf and -Inf where JSON has none.
+void append_prometheus_value(std::string& out, double v) {
+  if (std::isnan(v)) out += "NaN";
+  else if (std::isinf(v)) out += v > 0 ? "+Inf" : "-Inf";
+  else json::append_number(out, v);
+}
+
 }  // namespace
 
 std::string MetricsRegistry::prometheus_text() const {
@@ -174,21 +182,21 @@ std::string MetricsRegistry::prometheus_text() const {
     const std::string prom = prometheus_name(name);
     out += "# TYPE " + prom + " gauge\n";
     out += prom + " ";
-    json::append_number(out, sample.value);
+    append_prometheus_value(out, sample.value);
     out += "\n# TYPE " + prom + "_max gauge\n";
     out += prom + "_max ";
-    json::append_number(out, sample.max);
+    append_prometheus_value(out, sample.max);
     out += "\n";
   }
   for (const auto& [name, sample] : snap.histograms) {
     const std::string prom = prometheus_name(name);
     out += "# TYPE " + prom + " summary\n";
     out += prom + "{quantile=\"0.5\"} ";
-    json::append_number(out, sample.p50);
+    append_prometheus_value(out, sample.p50);
     out += "\n" + prom + "{quantile=\"0.95\"} ";
-    json::append_number(out, sample.p95);
+    append_prometheus_value(out, sample.p95);
     out += "\n" + prom + "_sum ";
-    json::append_number(out, sample.sum);
+    append_prometheus_value(out, sample.sum);
     out += "\n" + prom + "_count " + std::to_string(sample.count) + "\n";
   }
   return out;

@@ -32,6 +32,10 @@ void append_string(std::string& out, std::string_view text) {
 }
 
 void append_number(std::string& out, double v) {
+  if (!std::isfinite(v)) {
+    out += "null";
+    return;
+  }
   if (std::fabs(v) < 1e15 && v == std::trunc(v)) {
     out += std::to_string(static_cast<long long>(v));
     return;
@@ -140,6 +144,13 @@ unsigned Reader::hex4() {
 
 double Reader::number() {
   skip_ws();
+  // JSON numbers start with '-' or a digit; from_chars alone would also
+  // take "nan", "inf" and "infinity".
+  const std::size_t digit = pos_ < text_.size() && text_[pos_] == '-'
+                                ? pos_ + 1
+                                : pos_;
+  if (digit >= text_.size() || text_[digit] < '0' || text_[digit] > '9')
+    fail("expected number");
   const char* first = text_.data() + pos_;
   double value = 0.0;
   const auto [end, ec] =
@@ -148,6 +159,13 @@ double Reader::number() {
   if (ec != std::errc{}) fail("number out of range");
   pos_ += static_cast<std::size_t>(end - first);
   return value;
+}
+
+bool Reader::consume_null() {
+  skip_ws();
+  if (!text_.substr(pos_).starts_with("null")) return false;
+  pos_ += 4;
+  return true;
 }
 
 std::string_view Reader::integer_token() {

@@ -20,8 +20,8 @@ namespace presp::json {
 void append_string(std::string& out, std::string_view text);
 
 /// Appends `v` as a number: integral values under 1e15 in magnitude
-/// print without a fraction (byte-stable counters), everything else as
-/// printf "%.6g".
+/// print without a fraction (byte-stable counters), NaN and +-Inf, which
+/// JSON cannot spell, as null, everything else as printf "%.6g".
 void append_number(std::string& out, double v);
 
 /// Cursor-based reader over one document. Callers walk their schema
@@ -45,8 +45,11 @@ class Reader {
   /// Reads a string, decoding every JSON escape (\uXXXX as UTF-8,
   /// surrogate pairs joined). A malformed or unpaired \u is an error.
   std::string string();
-  /// Reads any number (out-of-double-range is an error).
+  /// Reads any number (out-of-double-range is an error). Only the JSON
+  /// grammar is accepted: "nan", "inf" and the like are errors.
   double number();
+  /// Skips whitespace; consumes the literal `null` if it is next.
+  bool consume_null();
   /// Reads an integer that must fit T: a fraction, an exponent or an
   /// out-of-range value is an error.
   template <typename T>

@@ -71,8 +71,17 @@ TEST(JsonWriterTest, NumberPrintsIntegersExactlyAndTheRestAsG6) {
   EXPECT_EQ(number(0.5), "0.5");
   EXPECT_EQ(number(1.0 / 3.0), "0.333333");
   EXPECT_EQ(number(1e300), "1e+300");
-  EXPECT_EQ(number(std::numeric_limits<double>::infinity()), "inf");
-  EXPECT_EQ(number(std::nan("")), "nan");
+  EXPECT_EQ(number(std::numeric_limits<double>::infinity()), "null");
+  EXPECT_EQ(number(std::nan("")), "null");
+}
+
+TEST(JsonWriterTest, NonFiniteNumbersPrintAsNull) {
+  EXPECT_EQ(number(-std::numeric_limits<double>::infinity()), "null");
+  EXPECT_EQ(number(-std::nan("")), "null");
+  // The output stays readable by the strict reader.
+  const std::string doc = "[" + number(std::nan("")) + "]";
+  json::Reader reader(doc, "test");
+  reader.array([&] { EXPECT_TRUE(reader.consume_null()); });
 }
 
 // ------------------------------------------------------------- reader
@@ -154,6 +163,17 @@ TEST(JsonReaderTest, NumbersOutsideDoubleRangeAreErrors) {
   EXPECT_THROW(huge.number(), ConfigError);
   json::Reader word("abc", "test");
   EXPECT_THROW(word.number(), ConfigError);
+}
+
+TEST(JsonReaderTest, NonFiniteNumberTokensAreErrors) {
+  for (const char* text : {"nan", "NaN", "-nan", "inf", "-inf", "Infinity",
+                           "-Infinity", "infinity", "-", "+1", ".5"}) {
+    json::Reader reader(text, "test");
+    EXPECT_THROW(reader.number(), ConfigError) << text;
+    EXPECT_THROW(skip(text), ConfigError) << text;
+  }
+  json::Reader negative(" -0.5", "test");
+  EXPECT_DOUBLE_EQ(negative.number(), -0.5);
 }
 
 TEST(JsonReaderTest, EveryTruncationOfADocumentIsAnError) {

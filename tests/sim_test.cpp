@@ -1,5 +1,7 @@
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <functional>
 #include <vector>
 
 #include "sim/kernel.hpp"
@@ -41,6 +43,30 @@ TEST(KernelTest, CancelPreventsExecution) {
   EXPECT_FALSE(k.cancel(id));  // second cancel is a no-op
   k.run();
   EXPECT_FALSE(ran);
+}
+
+TEST(KernelTest, CancelFindsAPendingEventBehindFiredOnes) {
+  // A queue that never drains: one far timeout stays pending while many
+  // short events fire (and leave the pool) around it.
+  Kernel k;
+  bool timed_out = false;
+  const auto timeout = k.schedule(1'000'000, [&] { timed_out = true; });
+  std::uint64_t fired_id = 0;
+  int ticks = 0;
+  std::function<void()> tick = [&] {
+    if (++ticks < 1'000) fired_id = k.schedule(10, tick);
+  };
+  fired_id = k.schedule(10, tick);
+  const auto early = k.schedule(5, [] {});
+  EXPECT_EQ(k.run_until(20'000), 20'000u);
+  EXPECT_EQ(ticks, 1'000);
+  EXPECT_FALSE(k.cancel(early));
+  EXPECT_FALSE(k.cancel(fired_id));
+  EXPECT_TRUE(k.cancel(timeout));
+  EXPECT_TRUE(k.empty());
+  k.run();
+  EXPECT_FALSE(timed_out);
+  EXPECT_EQ(k.now(), 20'000u);
 }
 
 TEST(KernelTest, RunUntilStopsAtDeadline) {

@@ -1,4 +1,11 @@
 #include <gtest/gtest.h>
+#include <unistd.h>
+
+#include <algorithm>
+#include <cstdint>
+#include <fstream>
+#include <limits>
+#include <utility>
 
 #include "soc/soc.hpp"
 #include "util/error.hpp"
@@ -281,6 +288,74 @@ TEST(MemoryTest, WordAccessRoundTrip) {
   const auto a = mem.allocate("a", 64);
   mem.write_u32(a, 0xDEADBEEF);
   EXPECT_EQ(mem.read_u32(a), 0xDEADBEEFu);
+}
+
+TEST(MemoryTest, AccessBoundsDoNotWrap) {
+  MainMemory mem(MemoryOptions{1 << 16, 28, 8});
+  const MainMemory& cmem = mem;
+  constexpr auto kTop = std::numeric_limits<std::uint64_t>::max();
+  // addr + len wraps to 2 here; the range is still far outside the slice.
+  EXPECT_THROW(mem.bytes(kTop - 1, 4), InvalidArgument);
+  EXPECT_THROW(cmem.bytes(kTop - 1, 4), InvalidArgument);
+  EXPECT_THROW(mem.bytes(mem.size() + 1, 0), InvalidArgument);
+  EXPECT_EQ(mem.bytes(mem.size() - 4, 4).size(), 4u);
+  EXPECT_EQ(mem.bytes(mem.size(), 0).size(), 0u);
+  EXPECT_THROW(mem.bytes(mem.size() - 3, 4), InvalidArgument);
+}
+
+TEST(MemoryTest, HugeAllocationDoesNotWrap) {
+  MainMemory mem(MemoryOptions{1 << 16, 28, 8});
+  // base + bytes wraps past zero; the request must still be refused and
+  // leave the bump pointer where it was.
+  constexpr auto kHuge = std::numeric_limits<std::size_t>::max() - 32;
+  EXPECT_THROW(mem.allocate("huge", kHuge), InvalidArgument);
+  EXPECT_THROW(mem.region("huge"), InvalidArgument);
+  const auto a = mem.allocate("a", 64);
+  const auto b = mem.allocate("b", 64);
+  EXPECT_EQ(b, a + 64);
+  EXPECT_THROW(mem.allocate("rest", mem.size() - b - 63), InvalidArgument);
+  EXPECT_NO_THROW(mem.allocate("rest", mem.size() - b - 64));
+}
+
+/// Resident set size of this process in bytes (/proc/self/statm).
+long long resident_bytes() {
+  std::ifstream statm("/proc/self/statm");
+  long long size_pages = 0;
+  long long resident_pages = 0;
+  statm >> size_pages >> resident_pages;
+  return resident_pages * sysconf(_SC_PAGESIZE);
+}
+
+TEST(MemoryTest, UntouchedDramIsNotResident) {
+  const long long before = resident_bytes();
+  MainMemory mem;  // the default 64 MiB slice
+  ASSERT_EQ(mem.size(), std::size_t{64} << 20);
+#ifndef __SANITIZE_THREAD__
+  // TSan's calloc memsets every block, so there the slice is resident.
+  EXPECT_LT(resident_bytes() - before, 8ll << 20);
+#endif
+  // allocate() faults its region in at set-up, and the region is zero.
+  constexpr std::size_t kRegion = std::size_t{1} << 20;
+  const auto base = mem.allocate("frame", kRegion);
+  EXPECT_GE(resident_bytes() - before, static_cast<long long>(kRegion));
+  const auto region = std::as_const(mem).bytes(base, kRegion);
+  EXPECT_TRUE(std::all_of(region.begin(), region.end(),
+                          [](std::uint8_t b) { return b == 0; }));
+}
+
+TEST(MemoryTest, ReservedRegionStaysUnfaulted) {
+  MainMemory mem;
+  const long long before = resident_bytes();
+  constexpr std::size_t kImage = std::size_t{16} << 20;
+  const auto image = mem.reserve("image", kImage);
+#ifndef __SANITIZE_THREAD__
+  EXPECT_LT(resident_bytes() - before, 8ll << 20);
+#endif
+  EXPECT_EQ(mem.region_size("image"), kImage);
+  EXPECT_EQ(mem.read_u32(image + kImage - 4), 0u);
+  EXPECT_GE(mem.allocate("next", 64), image + kImage);
+  EXPECT_THROW(mem.reserve("image", 64), InvalidArgument);
+  EXPECT_THROW(mem.reserve("huge", mem.size()), InvalidArgument);
 }
 
 TEST(MemoryTest, StreamCyclesModel) {

@@ -6,6 +6,8 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cmath>
+#include <limits>
 #include <string>
 #include <thread>
 #include <vector>
@@ -234,6 +236,18 @@ TEST(ChromeTraceTest, SummaryComputesSelfTimeAndExtents) {
   EXPECT_NE(rendered.find("dropped events: 0"), std::string::npos);
 }
 
+TEST(ChromeTraceTest, NanCounterRoundTripsAsNull) {
+  TraceReport report = golden_report();
+  report.events[5].value = std::nan("");
+  const std::string json = trace::chrome_trace_json(report);
+  EXPECT_NE(json.find("\"args\":{\"value\":null}"), std::string::npos);
+  const trace::ParsedTrace parsed = trace::parse_chrome_trace(json);
+  ASSERT_EQ(parsed.events.size(), report.events.size());
+  EXPECT_EQ(parsed.events[5].ph, "C");
+  EXPECT_TRUE(std::isnan(parsed.events[5].value));
+  EXPECT_EQ(trace::summarize(parsed).counters, 1u);
+}
+
 TEST(ChromeTraceTest, EscapedNamesRoundTrip) {
   TraceReport report = golden_report();
   const std::string name = "quote\" back\\ tab\t cr\r nl\n bell\x07";
@@ -341,6 +355,24 @@ TEST(MetricsTest, CountersGaugesHistograms) {
   registry.reset();
   EXPECT_EQ(registry.counter("reqs").value(), 0u);
   EXPECT_EQ(registry.histogram("latency").count(), 0u);
+}
+
+TEST(MetricsTest, NonFiniteValuesUsePrometheusAndJsonSpellings) {
+  trace::MetricsRegistry registry;
+  registry.gauge("nan").set(std::nan(""));
+  registry.gauge("up").set(std::numeric_limits<double>::infinity());
+  registry.gauge("down").set(-std::numeric_limits<double>::infinity());
+  const std::string prom = registry.prometheus_text();
+  EXPECT_NE(prom.find("\npresp_nan NaN\n"), std::string::npos) << prom;
+  EXPECT_NE(prom.find("\npresp_up +Inf\n"), std::string::npos) << prom;
+  EXPECT_NE(prom.find("\npresp_up_max +Inf\n"), std::string::npos) << prom;
+  EXPECT_NE(prom.find("\npresp_down -Inf\n"), std::string::npos) << prom;
+  EXPECT_EQ(prom.find("nan\n"), std::string::npos) << prom;
+  EXPECT_EQ(prom.find("inf\n"), std::string::npos) << prom;
+  const std::string json = registry.snapshot_json();
+  EXPECT_NE(json.find("\"nan\":{\"value\":null"), std::string::npos)
+      << json;
+  EXPECT_EQ(json.find("inf"), std::string::npos) << json;
 }
 
 TEST(MetricsTest, ConcurrentUpdatesSumExactly) {

@@ -26,7 +26,9 @@
 # bench_defrag soak (background repacker vs an identical repack-off
 # replay), which emits BENCH_defrag.json (frag before/after, migration
 # count, p99 on/off, bit_identical) and fails unless fragmentation
-# strictly improved with bit-identical workload outcomes.
+# strictly improved with bit-identical workload outcomes. Both soak
+# reports carry a "host" object (wall_s, user_s, sys_s, maxrss_mib), and
+# either soak fails the gate when its sys time exceeds 10% of its wall.
 #
 # Usage: tools/run_bench.sh
 #          [out.json [store_out.json [fleet_out.json [defrag_out.json]]]]
@@ -139,9 +141,10 @@ for field in serial_cycles pipelined_cycles speedup cache_hit_rate \
   fi
 done
 
-# The fleet soak must carry the tail-latency and robustness fields.
+# The fleet soak must carry the tail-latency and robustness fields and
+# its host cost.
 for field in p999_cycles shed_rate coalesce_rate breaker_opens \
-             deterministic; do
+             deterministic wall_s user_s sys_s maxrss_mib; do
   if ! grep -q "\"$field\"" "$FLEET_OUT"; then
     echo "run_bench: $FLEET_OUT is missing the \"$field\" field" >&2
     exit 1
@@ -151,7 +154,7 @@ done
 # The defrag soak must carry the fragmentation, migration and
 # latency-impact fields, and the on/off runs must agree bit-for-bit.
 for field in frag_before frag_after migrations p99_cycles_on \
-             p99_cycles_off bit_identical; do
+             p99_cycles_off bit_identical wall_s user_s sys_s maxrss_mib; do
   if ! grep -q "\"$field\"" "$DEFRAG_OUT"; then
     echo "run_bench: $DEFRAG_OUT is missing the \"$field\" field" >&2
     exit 1
@@ -162,6 +165,18 @@ if ! grep -q '"bit_identical": true' "$DEFRAG_OUT"; then
        "repacker-off" >&2
   exit 1
 fi
+
+# Neither soak may spend more than 10% of its wall time in the kernel:
+# a simulated SoC's modeled DRAM must not be page-faulted in up front.
+for report in "$FLEET_OUT" "$DEFRAG_OUT"; do
+  WALL_S=$(json_num "$report" wall_s)
+  SYS_S=$(json_num "$report" sys_s)
+  if ! awk "BEGIN{exit !($SYS_S <= 0.10 * $WALL_S)}"; then
+    echo "run_bench: $report spent ${SYS_S} s of ${WALL_S} s wall in sys" \
+         "(need <= 10%)" >&2
+    exit 1
+  fi
+done
 
 echo "run_bench: results in $OUT, $STORE_OUT, $FLEET_OUT and $DEFRAG_OUT"
 cat "$OUT"
